@@ -798,20 +798,17 @@ let ext_exp () =
 
 (* ---------------- EXT-PAR ---------------- *)
 
-(* Speedup of the worker pool on the three workloads the CLI parallelises:
-   the parameter-grid sweep, the exponential (Markov) solve whose
-   elimination loop runs through [parallel_for], and Monte-Carlo
-   replication. Each workload runs at -j1 and at the recommended jobs
-   count; the results must be identical (the pool's headline guarantee)
-   and both wall times are recorded in BENCH_tpan.json. The >= 2x speedup
-   check only applies on multicore hosts — on a single-core container the
-   pool degrades to the sequential path and the ratio is ~1. *)
+(* Speedup of the worker pool on the two workloads the CLI parallelises:
+   the parameter-grid sweep and Monte-Carlo replication. Each workload
+   runs at -j1 and at the recommended jobs count; the results must be
+   identical (the pool's headline guarantee) and both wall times are
+   recorded in BENCH_tpan.json. The replication speedup check only
+   applies on multicore hosts — on a single-core container the pool
+   degrades to the sequential path and the ratio is ~1. *)
 let ext_par () =
   section "EXT-PAR" "worker-pool speedup and -j determinism";
   let module Pool = Tpan_par.Pool in
   let module Sweep = Tpan_perf.Sweep in
-  let module Exp = Tpan_perf.Exponential in
-  let module PL = Tpan_protocols.Pipeline in
   let jn = Pool.recommended_jobs () in
   let wall f =
     let t0 = Unix.gettimeofday () in
@@ -820,14 +817,26 @@ let ext_par () =
     let mw = Gc.minor_words () +. pool_minor_sum () -. mw0 in
     (r, Unix.gettimeofday () -. t0, mw)
   in
+  (* Five interleaved j1/jN rounds, each side keeping its fastest run: a
+     replication batch takes ~0.1 s, short enough for one scheduler
+     hiccup on a shared host to halve a single sample's speedup, and
+     interleaving exposes both sides to the same background load. *)
   let record name run_at =
-    let r1, t1, mw1 = wall (fun () -> run_at 1) in
-    let rn, tn, mwn = wall (fun () -> run_at jn) in
+    let rounds =
+      List.init 5 (fun _ -> (wall (fun () -> run_at 1), wall (fun () -> run_at jn)))
+    in
+    let fastest runs =
+      List.fold_left
+        (fun ((_, t, _) as b) ((_, t', _) as x) -> if t' < t then x else b)
+        (List.hd runs) runs
+    in
+    let r1, t1, mw1 = fastest (List.map fst rounds) in
+    let rn, tn, mwn = fastest (List.map snd rounds) in
     parallel_records := (name, jn, t1, tn, mw1, mwn) :: !parallel_records;
     Format.printf
       "  %-18s  j1 %8.3f s (%.2e mw)   j%d %8.3f s (%.2e mw)   speedup %.2fx@." name t1
       mw1 jn tn mwn (t1 /. tn);
-    (r1, rn)
+    (r1, rn, t1 /. tn)
   in
   (* 1. concrete parameter-grid sweep: per-point rebuild + full analysis *)
   let axes =
@@ -836,48 +845,32 @@ let ext_par () =
   let make pt =
     SW.concrete { SW.paper_params with SW.timeout = List.assoc "timeout" pt }
   in
-  let s1, sn =
+  let s1, sn, _ =
     record "sweep-grid" (fun jobs ->
         Sweep.over_tpn ~jobs ~make ~throughputs:[ SW.t_process_ack ] axes)
   in
   check "sweep grid is byte-identical at -j1 and -jN"
     (Tpan_obs.Jsonv.to_string (Sweep.to_json s1)
     = Tpan_obs.Jsonv.to_string (Sweep.to_json sn));
-  (* 2. Markov solve of the Erlang-k pipeline: the dominant EXT-EXP cost;
-     the parallelism lives inside the exact Gauss-Jordan elimination.
-     Quick mode solves the 2-stage expansion instead of the 3-stage one *)
-  let estages = if quick then 2 else 3 in
-  let ename = Printf.sprintf "erlang-%d-solve" estages in
-  let e1, en =
-    record ename (fun jobs ->
-        Pool.set_default_jobs jobs;
-        let tpn = Exp.erlang_expand ~stages:estages (PL.concrete PL.default_params) in
-        let c = Exp.build ~max_states:200_000 tpn in
-        let pi = Exp.steady_state c in
-        let name = PL.t_deliver ^ "__" ^ string_of_int (estages - 1) in
-        Exp.throughput c ~steady:pi (Net.trans_of_name (Tpn.net tpn) name))
-  in
-  Pool.set_default_jobs jn;
-  check "Markov solve is exact and identical at -j1 and -jN" (Q.equal e1 en);
-  (* 3. Monte-Carlo replication with split seeds *)
+  (* 2. Monte-Carlo replication with split seeds *)
   let t7 = Net.trans_of_name (Tpn.net ctpn) "t7" in
-  let m1, mn =
+  let m1, mn, mc_speedup =
     record "monte-carlo-x8" (fun jobs ->
         Sim.run_many ~seed:11 ~jobs ~runs:8 ~horizon:(Q.of_int (scaled 150_000)) ctpn
           (fun stats -> Sim.throughput stats t7))
   in
   check "Monte-Carlo estimate is bit-identical at -j1 and -jN" (m1 = mn);
+  (* the sections after this one run at the recommended jobs count *)
+  Pool.set_default_jobs jn;
   (* scaled-down workloads are too small to amortize domain spawning, so
-     the >= 2x assertions only run at full size on multicore hosts *)
+     the speedup assertion only runs at full size on multicore hosts; the
+     bound grows with the jobs count (1.2x at j2, 4.8x from j8 on) — a
+     pool that fails to fan out stays at ~1x *)
   if jn > 1 && not quick && bench_scale >= 1.0 then begin
-    let speedup name =
-      match List.find_opt (fun (n, _, _, _, _, _) -> n = name) !parallel_records with
-      | Some (_, _, t1, tn, _, _) -> t1 /. tn
-      | None -> 0.
-    in
-    check "Markov solve speeds up >= 2x on the pool" (speedup ename >= 2.0);
-    check "Monte-Carlo replication speeds up >= 2x on the pool"
-      (speedup "monte-carlo-x8" >= 2.0)
+    let bound = 0.6 *. float_of_int (min jn 8) in
+    check
+      (Printf.sprintf "Monte-Carlo replication speeds up >= %.2fx on the pool" bound)
+      (mc_speedup >= bound)
   end
   else if jn <= 1 then
     Format.printf
@@ -1045,70 +1038,10 @@ let serve_cache () =
     (cold *. 1e3) (warm *. 1e3) ratio;
   check "cached /eval is >= 50x faster than the uncached analysis" (ratio >= 50.)
 
-(* ---------------- SERVE-OBS ---------------- *)
-
-(* What the telemetry plane costs the hot serving path: the same warm
-   POST /eval request through [Serve.handle], once with [telemetry]
-   off (bare: context, dispatch, cache hit, envelope) and once with the
-   default instrumented plane (per-endpoint RED metrics with exemplars,
-   in-flight tracking, tracez recording). The access log and ledger are
-   opt-in file I/O, not part of the always-on plane, so they are not in
-   this figure. The acceptance bound is 1.10x. *)
-let serve_obs_bare_ms = ref Float.nan
-let serve_obs_instr_ms = ref Float.nan
-let serve_obs_ratio = ref Float.nan
-
-let serve_obs () =
-  section "SERVE-OBS" "telemetry-plane overhead on the warm /eval serving path";
-  let body =
-    {|{"model":"abp-sym","transition":"recv_new0","point":{
-        "E(to)":"1000","F(send)":"1","F(pkt)":"106.7","F(proc)":"13.5",
-        "F(ack)":"106.7","f(lp)":"0.05","f(dp)":"0.95","f(la)":"0.05",
-        "f(da)":"0.95"}}|}
-  in
-  let bare_config =
-    { Tpan_serve.Serve.default_config with Tpan_serve.Serve.telemetry = false }
-  in
-  let instr_config = Tpan_serve.Serve.default_config in
-  let eval config () =
-    let r = Tpan_serve.Serve.handle config ~meth:"POST" ~target:"/eval" ~body in
-    if r.Tpan_serve.Serve.status <> 200 then
-      failwith
-        (Printf.sprintf "SERVE-OBS: /eval answered %d: %s" r.Tpan_serve.Serve.status
-           r.Tpan_serve.Serve.body)
-  in
-  eval instr_config () (* warm the artifact cache for both variants *);
-  let time reps f =
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Sys.time () -. t0) /. float_of_int reps
-  in
-  let reps = scaled 3000 in
-  (* interleave the two variants so drift (GC pressure, frequency
-     scaling) lands on both sides of the ratio evenly *)
-  let rounds = 3 in
-  let bare = ref 0. and instr = ref 0. in
-  for _ = 1 to rounds do
-    bare := !bare +. time reps (eval bare_config);
-    instr := !instr +. time reps (eval instr_config)
-  done;
-  let bare = !bare /. float_of_int rounds
-  and instr = !instr /. float_of_int rounds in
-  let ratio = instr /. bare in
-  serve_obs_bare_ms := bare *. 1e3;
-  serve_obs_instr_ms := instr *. 1e3;
-  serve_obs_ratio := ratio;
-  Format.printf
-    "  bare /eval %.4fms/req, instrumented %.4fms/req — overhead %.3fx@."
-    (bare *. 1e3) (instr *. 1e3) ratio;
-  check "instrumented /eval <= 1.10x bare request handling" (ratio <= 1.10)
-
 (* ---------------- SERVE-KEEPALIVE ---------------- *)
 
 (* What connection reuse buys the socket plane: the same GET /healthz
-   request against a live in-process listener (telemetry off), once
+   request against a live in-process listener, once
    over a fresh TCP connection per request — connect, one request,
    [Connection: close], EOF — and once down a single keep-alive
    connection in pipelined batches of 20. The endpoint is deliberately
@@ -1126,7 +1059,6 @@ let serve_keepalive () =
     {
       Tpan_serve.Serve.default_config with
       Tpan_serve.Serve.port = Some 0;
-      telemetry = false;
       max_requests_per_conn = 0 (* unlimited: the reuse side is the point *);
     }
   in
@@ -1416,10 +1348,6 @@ let emit_json ~micro path =
         (num ns) (num r2));
   pr "\n  ],\n";
   pr
-    "  \"serve_obs\": {\"bare_ms_per_req\": %s, \"instrumented_ms_per_req\": %s, \
-     \"overhead_ratio\": %s},\n"
-    (num !serve_obs_bare_ms) (num !serve_obs_instr_ms) (num !serve_obs_ratio);
-  pr
     "  \"serve_keepalive\": {\"close_rps\": %s, \"reuse_rps\": %s, \
      \"speedup_ratio\": %s},\n"
     (num !serve_keepalive_close_rps) (num !serve_keepalive_reuse_rps)
@@ -1499,7 +1427,6 @@ let () =
   timed "ORACLE" oracle;
   timed "CHECKPOINT" checkpoint_overhead;
   timed "SERVE" serve_cache;
-  timed "SERVE-OBS" serve_obs;
   timed "SERVE-KEEPALIVE" serve_keepalive;
   let micro = ref [] in
   timed "PERF" (fun () -> micro := perf ());

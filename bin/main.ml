@@ -100,7 +100,6 @@ let metrics_fmt_opt : metrics_format option ref = ref None
 let metrics_all = ref false
 let current_model : string option ref = ref None
 let current_net_hash : string option ref = ref None
-let json_schema = ref 2
 let last_report : Obs.Jsonv.t option ref = ref None
 let ledger_where : string option ref = ref None
 
@@ -169,10 +168,7 @@ let parse_duration s =
 let default_flight_file () = Filename.concat (Obs.Ledger.default_dir ()) "flight.ndjson"
 
 let obs_setup trace_file metrics m_fmt m_all progress jobs log_level log_file ledger
-    ledger_dir deadline watchdog dump progress_interval schema =
-  (match schema with
-   | 1 | 2 -> json_schema := schema
-   | n -> fail_input (Printf.sprintf "--json-schema %d: only 1 (legacy) and 2 exist" n));
+    ledger_dir deadline watchdog dump progress_interval =
   (match jobs with
    | None -> ()
    | Some 0 -> Tpan_par.Pool.set_default_jobs (Tpan_par.Pool.recommended_jobs ())
@@ -308,9 +304,8 @@ let obs_term =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains for parallel work (sweeps, replicated simulation, large rate \
-             solves). 0 picks the machine's recommended count. Results are identical for \
-             any value; default 1.")
+            "Worker domains for parallel work (sweeps, replicated simulation). 0 picks the \
+             machine's recommended count. Results are identical for any value; default 1.")
   in
   let log_level_arg =
     Arg.(
@@ -385,20 +380,10 @@ let obs_term =
       & info [ "progress-interval" ] ~docv:"MS"
           ~doc:"Minimum milliseconds between --progress reports (default 50).")
   in
-  let json_schema_arg =
-    Arg.(
-      value
-      & opt int 2
-      & info [ "json-schema" ] ~docv:"N"
-          ~doc:
-            "Version of the --json document shape: $(b,2) (default; envelope with \
-             $(b,schema), $(b,trace_id), $(b,net_hash), $(b,exit_code)) or $(b,1) (the \
-             pre-serve documents, byte for byte).")
-  in
   Term.(
     const obs_setup $ trace_arg $ metrics_arg $ metrics_format_arg $ metrics_all_arg
     $ progress_arg $ jobs_arg $ log_level_arg $ log_file_arg $ ledger_arg $ ledger_dir_arg
-    $ deadline_arg $ watchdog_arg $ dump_arg $ progress_interval_arg $ json_schema_arg)
+    $ deadline_arg $ watchdog_arg $ dump_arg $ progress_interval_arg)
 
 (* ----- common options ----- *)
 
@@ -442,8 +427,7 @@ let with_canonical file model k = with_net file model (fun tpn -> k (canonicaliz
 
 (* ----- machine output -----
 
-   Schema 2 wraps every document in one envelope; --json-schema 1
-   reproduces the historical per-command shapes byte for byte. *)
+   Every --json document is wrapped in one schema-2 envelope. *)
 
 let print_json doc = print_endline (Obs.Jsonv.to_string_hum doc)
 
@@ -462,12 +446,11 @@ let envelope ~kind ?(exit_code = 0) fields =
     :: ("exit_code", Obs.Jsonv.Int exit_code)
     :: fields)
 
-let print_doc ~kind ~legacy fields =
-  if !json_schema = 1 then print_json (Lazy.force legacy)
-  else print_json (envelope ~kind (Lazy.force fields))
+let print_doc ~kind fields = print_json (envelope ~kind fields)
 
-(* Payload fields of a legacy document: everything but the old header. *)
-let fields_of_legacy doc =
+(* Payload fields of a document that carries its own schema/kind header
+   (sweep tables, checker outcomes): everything but that header. *)
+let payload_fields doc =
   match doc with
   | Obs.Jsonv.Obj kvs -> List.filter (fun (k, _) -> k <> "schema" && k <> "kind") kvs
   | other -> [ ("value", other) ]
@@ -540,7 +523,9 @@ let json_arg =
   Arg.(
     value & flag
     & info [ "json" ]
-        ~doc:"Emit a versioned JSON document (\"schema\": 1) instead of the human report.")
+        ~doc:
+          "Emit a versioned JSON document (\"schema\": 2, with $(b,trace_id), \
+           $(b,net_hash) and $(b,exit_code)) instead of the human report.")
 
 let analyze_cmd =
   let run () file model max_states throughputs json =
@@ -549,9 +534,7 @@ let analyze_cmd =
           match Tpan.Artifact.analysis ~max_states ~throughputs c with
           | Ok report ->
             let report = { report with Tpan.Analysis.model } in
-            print_doc ~kind:"analysis"
-              ~legacy:(lazy (Tpan.Analysis.report_to_json report))
-              (lazy (Tpan.Analysis.report_fields report))
+            print_doc ~kind:"analysis" (Tpan.Analysis.report_fields report)
           | Error e -> fail e)
     else
     with_net file model (fun tpn ->
@@ -653,14 +636,7 @@ let simulate_cmd =
         | Error e -> fail e
         | Ok summary ->
           if json then
-            print_doc ~kind:"simulation"
-              ~legacy:
-                (lazy
-                  (Obs.Jsonv.Obj
-                     (("schema", Obs.Jsonv.Int 1)
-                     :: ("kind", Obs.Jsonv.Str "simulation")
-                     :: Tpan.Artifact.sim_summary_fields summary)))
-              (lazy (Tpan.Artifact.sim_summary_fields summary))
+            print_doc ~kind:"simulation" (Tpan.Artifact.sim_summary_fields summary)
           else
             List.iter
               (fun (name, stat) ->
@@ -804,9 +780,7 @@ let sweep_cmd =
         end
     in
     if json then
-      print_doc ~kind:"sweep"
-        ~legacy:(lazy (Sweep.to_json table))
-        (lazy (fields_of_legacy (Sweep.to_json table)))
+      print_doc ~kind:"sweep" (payload_fields (Sweep.to_json table))
     else if csv then print_string (Sweep.to_csv table)
     else Format.printf "%a@?" Sweep.pp table
   in
@@ -1030,7 +1004,7 @@ let check_cmd =
           last_report := Some summary;
           write_reproducers repro outcomes;
           if json then
-            print_doc ~kind:"check-fuzz" ~legacy:(lazy summary) (lazy summary_fields)
+            print_doc ~kind:"check-fuzz" summary_fields
           else begin
             List.iter
               (fun ((c : GN.case), r) ->
@@ -1056,12 +1030,10 @@ let check_cmd =
           match Tpan.Checker.check_source ~config ?delivery (source_of file model) with
           | Error e -> fail e
           | Ok o ->
-            last_report := Some (CK.outcome_to_json o);
+            let doc = CK.outcome_to_json o in
+            last_report := Some doc;
             write_reproducers repro [ o ];
-            if json then
-              print_doc ~kind:"check"
-                ~legacy:(lazy (CK.outcome_to_json o))
-                (lazy (fields_of_legacy (CK.outcome_to_json o)))
+            if json then print_doc ~kind:"check" (payload_fields doc)
             else Format.printf "%a@." CK.pp_outcome o;
             if not (CK.ok o) then quit 1)
     else with_net file model (check_static max_states)
@@ -1573,7 +1545,7 @@ let top_cmd =
    context by the handler. *)
 let serve_cmd =
   let run host port socket deadline jobs log_level cache_mb cache_dir max_states
-      no_telemetry slow_ms access_log flight no_ledger ledger_dir workers
+      slow_ms access_log flight no_ledger ledger_dir workers
       max_requests_per_conn idle_timeout max_inflight max_conns warm =
     handle_errors (fun () ->
         (match jobs with
@@ -1587,11 +1559,8 @@ let serve_cmd =
         (* Per-request span trees feed /tracez and the per-endpoint
            stage breakdown; the retention cap keeps the shared trace
            buffer from growing without bound between requests. *)
-        if no_telemetry then Obs.Metrics.set_timing true
-        else begin
-          Obs.Trace.set_enabled true;
-          Obs.Trace.set_retention 4096
-        end;
+        Obs.Trace.set_enabled true;
+        Obs.Trace.set_retention 4096;
         Tpan.Artifact.configure
           ?budget_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_mb)
           ?persist_dir:cache_dir ();
@@ -1603,7 +1572,6 @@ let serve_cmd =
             socket_path = socket;
             deadline = Option.map parse_duration deadline;
             max_states = Some max_states;
-            telemetry = not no_telemetry;
             slow_ms;
             flight_path = Some (match flight with Some p -> p | None -> default_flight_file ());
             access_log;
@@ -1692,14 +1660,6 @@ let serve_cmd =
             "Persist artifacts (closed forms, concrete TRGs, reports, point \
              evaluations) as NDJSON under $(docv) (e.g. $(b,.tpan/cache)); a restarted \
              server replays every kind and skips the rebuilds.")
-  in
-  let no_telemetry_arg =
-    Arg.(
-      value & flag
-      & info [ "no-telemetry" ]
-          ~doc:
-            "Disable the request telemetry plane (per-endpoint RED metrics, /tracez \
-             recording, in-flight tracking, access log, per-request ledger rows).")
   in
   let slow_ms_arg =
     Arg.(
@@ -1816,7 +1776,7 @@ let serve_cmd =
     Term.(
       const run $ host_arg $ port_arg $ socket_arg $ deadline_arg $ jobs_arg
       $ log_level_arg $ cache_budget_arg $ cache_dir_arg $ max_states_arg
-      $ no_telemetry_arg $ slow_ms_arg $ access_log_arg $ flight_arg $ no_ledger_arg
+      $ slow_ms_arg $ access_log_arg $ flight_arg $ no_ledger_arg
       $ ledger_dir_arg $ workers_arg $ max_requests_per_conn_arg $ idle_timeout_arg
       $ max_inflight_arg $ max_conns_arg $ warm_arg)
 

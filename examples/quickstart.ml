@@ -1,5 +1,5 @@
 (* Quickstart: model a protocol and get a throughput number through the
-   Tpan.Analysis facade — build a net, call analyze, read the report.
+   Tpan.Artifact facade — build a net, call analysis, read the report.
    Every failure mode comes back as a value (Tpan.Error.t), so the example
    has no exception handling.
 
@@ -41,9 +41,9 @@ let () =
       ]
   in
 
-  (* 3. Analyze through the facade: one call runs timed reachability,
-     decision-graph collapse and the rate solve. *)
-  (match Tpan.Analysis.(analyze ~throughputs:[ "done_" ] tpn) with
+  (* 3. Analyze through the facade: one call canonicalizes the net and
+     runs timed reachability, decision-graph collapse and the rate solve. *)
+  (match Tpan.Artifact.analysis ~throughputs:[ "done_" ] (Tpan.Canonical.of_tpn tpn) with
    | Error e ->
      Format.printf "analysis failed: %s@." (Tpan.Error.to_string e)
    | Ok report ->

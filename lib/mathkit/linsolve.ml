@@ -11,11 +11,6 @@ module type FIELD = sig
   val pp : Format.formatter -> t -> unit
 end
 
-(* Below this many rows a system is too small for domain fan-out to pay
-   for itself; exact-ℚ elimination on a 48-row augmented matrix already
-   runs in the milliseconds where it does. *)
-let par_threshold = 48
-
 module Make (F : FIELD) = struct
   type outcome =
     | Unique of F.t array
@@ -47,25 +42,17 @@ module Make (F : FIELD) = struct
           for j = col to cols do
             m.(!row).(j) <- F.div m.(!row).(j) pv
           done;
-          (* Eliminate everywhere else. Row updates are independent (each
-             reads only the pivot row and writes its own row), so on large
-             systems the loop is split across pool domains; the result is
-             the same arithmetic either way. *)
-          let pr = !row in
-          let prow = m.(pr) in
-          let eliminate lo hi =
-            for i = lo to hi do
-              if i <> pr && not (F.is_zero m.(i).(col)) then begin
-                let factor = m.(i).(col) in
-                let mi = m.(i) in
-                for j = col to cols do
-                  mi.(j) <- F.sub mi.(j) (F.mul factor prow.(j))
-                done
-              end
-            done
-          in
-          if rows >= par_threshold then Tpan_par.Pool.parallel_for ~min_chunk:8 rows eliminate
-          else eliminate 0 (rows - 1);
+          (* eliminate everywhere else *)
+          let prow = m.(!row) in
+          for i = 0 to rows - 1 do
+            if i <> !row && not (F.is_zero m.(i).(col)) then begin
+              let factor = m.(i).(col) in
+              let mi = m.(i) in
+              for j = col to cols do
+                mi.(j) <- F.sub mi.(j) (F.mul factor prow.(j))
+              done
+            end
+          done;
           pivot_of_col.(col) <- !row;
           incr row
         end

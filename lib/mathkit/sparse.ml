@@ -15,10 +15,6 @@
 let sparse_min_rows = 64
 let max_fill = 0.25
 
-(* Enough affected rows that fanning the row merges across pool domains
-   pays for itself; mirrors Linsolve.par_threshold. *)
-let par_affected = 48
-
 module Make (F : Linsolve.FIELD) = struct
   module Dense = Linsolve.Make (F)
 
@@ -103,30 +99,14 @@ module Make (F : Linsolve.FIELD) = struct
         rhs.(r) <- F.div rhs.(r) pv;
         let prow = row.(r) and prhs = rhs.(r) in
         (* Rows still containing c; sorted for a deterministic schedule. *)
-        let affected =
-          Hashtbl.fold (fun i () acc -> i :: acc) col_rows.(c) []
-          |> List.sort Int.compare |> Array.of_list
-        in
-        let n_aff = Array.length affected in
-        let new_rows = Array.make n_aff [] in
-        let new_rhs = Array.make n_aff F.zero in
-        let update lo hi =
-          for k = lo to hi do
-            let i = affected.(k) in
-            let f = List.assoc c row.(i) in
-            new_rows.(k) <- axpy f prow row.(i);
-            new_rhs.(k) <- F.sub rhs.(i) (F.mul f prhs)
-          done
-        in
-        if n_aff >= par_affected then Tpan_par.Pool.parallel_for ~min_chunk:8 n_aff update
-        else update 0 (n_aff - 1);
-        for k = 0 to n_aff - 1 do
-          let i = affected.(k) in
-          drop_from_index i row.(i);
-          row.(i) <- new_rows.(k);
-          rhs.(i) <- new_rhs.(k);
-          add_to_index i row.(i)
-        done;
+        Hashtbl.fold (fun i () acc -> i :: acc) col_rows.(c) []
+        |> List.sort Int.compare
+        |> List.iter (fun i ->
+               let f = List.assoc c row.(i) in
+               drop_from_index i row.(i);
+               row.(i) <- axpy f prow row.(i);
+               rhs.(i) <- F.sub rhs.(i) (F.mul f prhs);
+               add_to_index i row.(i));
         pivot_done.(c) <- true;
         pivots := (r, c) :: !pivots;
         incr npivots

@@ -68,8 +68,8 @@ let run_worker ?ctx lane task : obs_deltas =
      worker that never fills its minor heap would report zero words.
      [counters] folds in the live minor-heap fill. *)
   let minor0, _, major0 = Gc.counters () in
-  (* tasks never raise out of [task]: both map and parallel_for capture
-     per-task exceptions, so the collects below always run *)
+  (* tasks never raise out of [task]: try_map captures per-task
+     exceptions, so the collects below always run *)
   Tpan_obs.Trace.with_span "pool.worker" (fun sp ->
       Tpan_obs.Trace.add_attr_int sp "lane" lane;
       with_worker_flag task);
@@ -177,35 +177,3 @@ module Service = struct
       match r with Ok () -> () | Error e -> raise e
     end
 end
-
-(* ---------------- block-parallel for ---------------- *)
-
-let parallel_for ?jobs ?(min_chunk = 1) n body =
-  if n > 0 then begin
-    let j = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let blocks = min j (max 1 (n / max 1 min_chunk)) in
-    if blocks <= 1 || in_worker () then body 0 (n - 1)
-    else begin
-      let size = (n + blocks - 1) / blocks in
-      let bounds =
-        Array.to_list (Array.init blocks (fun k -> (k * size, min n ((k + 1) * size) - 1)))
-        |> List.filter (fun (lo, hi) -> lo <= hi)
-        |> Array.of_list
-      in
-      let nb = Array.length bounds in
-      let failures = Array.make nb None in
-      let run k =
-        let lo, hi = bounds.(k) in
-        try body lo hi with e -> failures.(k) <- Some e
-      in
-      let ctx = Tpan_obs.Context.current () in
-      let domains =
-        Array.init (nb - 1) (fun i ->
-            Domain.spawn (fun () -> run_worker ?ctx (i + 1) (fun () -> run (i + 1))))
-      in
-      with_worker_flag (fun () -> run 0);
-      let deltas = Array.map Domain.join domains in
-      Array.iter merge_obs deltas;
-      Array.iter (function Some e -> raise e | None -> ()) failures
-    end
-  end

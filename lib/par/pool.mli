@@ -31,7 +31,7 @@
       [par.pool.worker_major_words] histograms, so GC pressure inside
       the pool is visible in [tpan profile] and the OpenMetrics export.
     - Nested calls run sequentially: a task that itself calls [map]
-      (e.g. a parallel linear solve inside a parallel sweep point) gets
+      (e.g. replicated simulation inside a parallel sweep point) gets
       the sequential fast path instead of a domain explosion.
     - The spawning domain's {!Tpan_obs.Context} (trace id, deadline
       token) is re-installed inside every worker, so spans and log
@@ -89,15 +89,6 @@ val try_map : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, error) result list
 (** Like {!map} but captures each task's failure in its slot instead of
     re-raising, so one bad sweep point doesn't lose the rest of the
     grid. Result order matches input order. *)
-
-val parallel_for : ?jobs:int -> ?min_chunk:int -> int -> (int -> int -> unit) -> unit
-(** [parallel_for n body] partitions [0 .. n-1] into contiguous blocks
-    of at least [min_chunk] (default 1) indices and runs [body lo hi]
-    (inclusive bounds) on up to [jobs] domains, the caller included.
-    Blocks are disjoint, so [body] may write disjoint array slots
-    without synchronisation. Joins all domains before returning;
-    exceptions re-raise after the join. Runs sequentially when [n] is
-    small, [jobs <= 1], or already inside a worker. *)
 
 (** {1 Long-running service workers} *)
 

@@ -9,7 +9,6 @@ type config = {
   deadline : float option;
   max_states : int option;
   max_body : int;
-  telemetry : bool;
   slow_ms : float option;
   flight_path : string option;
   access_log : string option;
@@ -30,7 +29,6 @@ let default_config =
     deadline = None;
     max_states = None;
     max_body = 8 * 1024 * 1024;
-    telemetry = true;
     slow_ms = None;
     flight_path = None;
     access_log = None;
@@ -52,17 +50,13 @@ type response = {
 
 (* ----- telemetry plane -----
 
-   Process-wide totals keep their historical unlabelled names (external
-   scrapes grep for [tpan_serve_requests_total]); the per-endpoint RED
-   families ride alongside under [serve.endpoint.*] and
-   [serve.request_duration_s{endpoint=...}], the latter carrying an
-   exemplar trace id per latency bucket. *)
+   Request accounting is per endpoint: the RED families
+   [serve.endpoint.requests{endpoint}], [serve.endpoint.errors{endpoint,type}]
+   and [serve.request_duration_s{endpoint}], the latter carrying an
+   exemplar trace id per latency bucket. Process-wide totals (/statusz)
+   are sums over those series. *)
 
 let start_time = Unix.gettimeofday ()
-let m_requests = lazy (Obs.Metrics.counter "serve.requests")
-let m_errors = lazy (Obs.Metrics.counter "serve.errors")
-let m_timeouts = lazy (Obs.Metrics.counter "serve.timeouts")
-let m_latency = lazy (Obs.Metrics.histogram "serve.latency_s")
 let m_inflight = lazy (Obs.Metrics.gauge "serve.inflight")
 
 (* Endpoint labels are drawn from the route table (unknown paths all
@@ -94,6 +88,28 @@ let error_type_of_status = function
   | 422 -> Some "app"
   | 503 -> Some "overload"
   | _ -> Some "internal"
+
+let error_types = [ "timeout"; "http"; "app"; "overload"; "internal" ]
+
+(* /statusz totals are sums over the labelled series, read by full
+   series name: [counter_value] is 0 for a series nobody has touched and
+   registers none. *)
+let series_total name label_sets =
+  List.fold_left
+    (fun acc labels -> acc + Obs.Metrics.counter_value (name ^ labels))
+    0 label_sets
+
+let all_endpoints = "other" :: known_endpoints
+
+let total_requests () =
+  series_total "serve.endpoint.requests"
+    (List.map (Printf.sprintf "{endpoint=%S}") all_endpoints)
+
+let total_errors types =
+  series_total "serve.endpoint.errors"
+    (List.concat_map
+       (fun ep -> List.map (Printf.sprintf "{endpoint=%S,type=%S}" ep) types)
+       all_endpoints)
 
 (* Process-wide counters are plain mutable ints; with a multi-domain
    accept loop their increments would race and drop. Request accounting
@@ -386,22 +402,21 @@ end
 
 (* ----- request JSON helpers ----- *)
 
-let pow2 k =
-  let rec go acc k = if k = 0 then acc else go (Q.mul acc (Q.of_int 2)) (k - 1) in
-  go Q.one k
-
 (* Floats decode to their exact binary rational, so a client sending
-   [0.25] and one sending ["1/4"] hit the same cache key downstream. *)
+   [0.25] and one sending ["1/4"] hit the same cache key downstream, and
+   [1e19] means the same as ["10000000000000000000"]: a finite float is
+   m * 2^e with 0.5 <= |m| < 1, so m * 2^53 is an integer that fits an
+   int exactly, whatever the magnitude of the float. *)
 let q_of_float f =
-  if Float.is_integer f then Q.of_int (int_of_float f)
+  if not (Float.is_finite f) then bad "non-finite number"
+  else if Float.is_integer f && Float.abs f < 0x1p62 then Q.of_int (int_of_float f)
   else begin
-    let m = ref f and k = ref 0 in
-    while not (Float.is_integer !m) && !k < 1100 do
-      m := !m *. 2.;
-      incr k
-    done;
-    if not (Float.is_integer !m) then bad "non-finite number";
-    Q.div (Q.of_int (int_of_float !m)) (pow2 !k)
+    let m, e = Float.frexp f in
+    let mant = Q.of_int (int_of_float (Float.ldexp m 53)) and e = e - 53 in
+    let scale =
+      Q.of_bigint (Tpan_mathkit.Bigint.pow (Tpan_mathkit.Bigint.of_int 2) (abs e))
+    in
+    if e >= 0 then Q.mul mant scale else Q.div mant scale
   end
 
 let q_of_json field = function
@@ -743,9 +758,9 @@ let statusz_json () =
       ( "requests",
         J.Obj
           [
-            ("total", J.Int (Obs.Metrics.Counter.value (Lazy.force m_requests)));
-            ("errors", J.Int (Obs.Metrics.Counter.value (Lazy.force m_errors)));
-            ("timeouts", J.Int (Obs.Metrics.Counter.value (Lazy.force m_timeouts)));
+            ("total", J.Int (total_requests ()));
+            ("errors", J.Int (total_errors error_types));
+            ("timeouts", J.Int (total_errors [ "timeout" ]));
             ("inflight", J.Int (List.length infl));
           ] );
       ("caches", J.List (cache_stats_json ()));
@@ -800,9 +815,7 @@ let statusz_html () =
        timeouts) &middot; %d in flight</p>"
       (html_escape Tpan.Version.string)
       (Unix.getpid ()) (now -. start_time)
-      (Obs.Metrics.Counter.value (Lazy.force m_requests))
-      (Obs.Metrics.Counter.value (Lazy.force m_errors))
-      (Obs.Metrics.Counter.value (Lazy.force m_timeouts))
+      (total_requests ()) (total_errors error_types) (total_errors [ "timeout" ])
       (List.length infl)
   in
   let caches =
@@ -1007,8 +1020,6 @@ let ledger_row config ~req ~status ~dur ~stages =
 
 let handle config ~meth ~target ~body =
   let t0 = Unix.gettimeofday () in
-  Mutex.protect stats_lock (fun () ->
-      Obs.Metrics.Counter.incr (Lazy.force m_requests));
   worker_note_request ();
   let path, query = split_target target in
   let endpoint = normalize_endpoint path in
@@ -1026,14 +1037,10 @@ let handle config ~meth ~target ~body =
     }
   in
   let caches_before =
-    if config.telemetry && config.access_log <> None then Some (cache_counts ())
-    else None
+    if config.access_log <> None then Some (cache_counts ()) else None
   in
-  if config.telemetry then begin
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (ep_requests endpoint));
-    inflight_add req
-  end;
+  Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (ep_requests endpoint));
+  inflight_add req;
   let resp =
     Obs.Context.with_ctx ctx (fun () ->
         try dispatch config ~meth ~path ~query ~body with
@@ -1050,39 +1057,31 @@ let handle config ~meth ~target ~body =
         | exn -> error_response 500 ~exit_code:1 (Printexc.to_string exn))
   in
   let dur = Unix.gettimeofday () -. t0 in
+  inflight_remove req;
   Mutex.protect stats_lock (fun () ->
-      if resp.status = 504 then Obs.Metrics.Counter.incr (Lazy.force m_timeouts);
-      if resp.status >= 400 then Obs.Metrics.Counter.incr (Lazy.force m_errors);
-      Obs.Metrics.Histogram.observe (Lazy.force m_latency) dur);
-  if config.telemetry then begin
-    inflight_remove req;
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Histogram.observe ~trace_id:tid (ep_latency endpoint) dur;
-        match error_type_of_status resp.status with
-        | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
-        | None -> ());
-    let slow =
-      match config.slow_ms with Some ms -> dur *. 1000. >= ms | None -> false
-    in
-    let spans = Obs.Trace.take_events ~trace_id:tid in
-    Obs.Tracez.record
-      { trace_id = tid; name; status = resp.status; start = t0; dur; slow; spans };
-    if slow then (
-      match config.flight_path with
-      | Some p ->
-        Obs.Dump.write_dump ~trace_id:tid p
-          (Printf.sprintf "slow-request %s %.1fms" name (dur *. 1000.))
+      Obs.Metrics.Histogram.observe ~trace_id:tid (ep_latency endpoint) dur;
+      match error_type_of_status resp.status with
+      | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
       | None -> ());
-    (match (config.access_log, caches_before) with
-    | Some log_path, Some before ->
-      let cache_fields = cache_delta before (cache_counts ()) in
-      access_write log_path
-        (access_record config ~req ~meth ~path ~status:resp.status ~dur
-           ~body_bytes:(String.length body)
-           ~resp_bytes:(String.length resp.body) ~cache_fields)
-    | _ -> ());
-    ledger_row config ~req ~status:resp.status ~dur ~stages:(stage_totals_of spans)
-  end;
+  let slow = match config.slow_ms with Some ms -> dur *. 1000. >= ms | None -> false in
+  let spans = Obs.Trace.take_events ~trace_id:tid in
+  Obs.Tracez.record
+    { trace_id = tid; name; status = resp.status; start = t0; dur; slow; spans };
+  if slow then (
+    match config.flight_path with
+    | Some p ->
+      Obs.Dump.write_dump ~trace_id:tid p
+        (Printf.sprintf "slow-request %s %.1fms" name (dur *. 1000.))
+    | None -> ());
+  (match (config.access_log, caches_before) with
+  | Some log_path, Some before ->
+    let cache_fields = cache_delta before (cache_counts ()) in
+    access_write log_path
+      (access_record config ~req ~meth ~path ~status:resp.status ~dur
+         ~body_bytes:(String.length body)
+         ~resp_bytes:(String.length resp.body) ~cache_fields)
+  | _ -> ());
+  ledger_row config ~req ~status:resp.status ~dur ~stages:(stage_totals_of spans);
   resp
 
 (* ----- the HTTP/1.1 listener -----
@@ -1377,6 +1376,12 @@ let write_response config fd resp ~keep_alive =
    (404/422/504/...) answer and keep the connection. *)
 let closing_status = function 400 | 408 | 413 | 501 -> true | _ -> false
 
+(* A request rejected while framing (bad head, stalled read, oversize or
+   chunked body) never reaches [handle] and has no route: it counts as an
+   "http" error of the "other" endpoint. *)
+let note_framing_error () =
+  Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (ep_errors "other" "http"))
+
 let serve_connection config conn =
   let limit =
     if config.max_requests_per_conn <= 0 then max_int
@@ -1405,13 +1410,11 @@ let serve_connection config conn =
   try next 0 with
   | Shutting_down -> ()
   | Http_error (status, msg) ->
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_errors));
+    note_framing_error ();
     (try write_response config conn.fd (error_response status ~exit_code:2 msg) ~keep_alive:false
      with Client_gone _ -> ())
   | Conn_stalled what ->
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_errors));
+    note_framing_error ();
     (try
        write_response config conn.fd
          (error_response 408 ~exit_code:2 ("timed out reading " ^ what))
@@ -1598,7 +1601,6 @@ let run ?(ready = fun _ -> ()) config =
         ( "socket",
           match config.socket_path with Some p -> J.Str p | None -> J.Null );
         ("workers", J.Int workers);
-        ("telemetry", J.Bool config.telemetry);
         ( "slow_ms",
           match config.slow_ms with Some ms -> J.Float ms | None -> J.Null );
         ( "access_log",

@@ -22,15 +22,15 @@
     [/statusz] and [/tracez] answer JSON by default and a minimal HTML
     page with [?format=html].
 
-    {b Telemetry.} With [telemetry] on (the default), every request is
-    counted into per-endpoint RED families — [serve.endpoint.requests]
-    and [serve.endpoint.errors] (typed: [http]/[app]/[timeout]/
-    [internal]) counters, and a [serve.request_duration_s] histogram
-    whose OpenMetrics buckets each carry an exemplar trace id — plus
-    the process-wide [serve.requests]/[serve.errors]/[serve.timeouts]/
-    [serve.latency_s] totals that predate the labelled plane. Endpoint
-    labels come from the route table (unknown paths collapse into
-    ["other"]), so cardinality is bounded.
+    {b Telemetry.} Every request is counted into per-endpoint RED
+    families — [serve.endpoint.requests] and [serve.endpoint.errors]
+    (typed: [http]/[app]/[timeout]/[overload]/[internal]) counters, and
+    a [serve.request_duration_s] histogram whose OpenMetrics buckets
+    each carry an exemplar trace id — tracked in flight and recorded in
+    [/tracez]. Endpoint labels come from the route table (unknown
+    paths, and requests rejected while framing, count as ["other"]), so
+    cardinality is bounded. The [/statusz] request totals are sums over
+    these series.
 
     Optionally the server also writes an NDJSON {e access log} (one
     {!Tpan_obs.Log} record per request: trace id, method, path, status,
@@ -87,10 +87,6 @@ type config = {
   deadline : float option;  (** per-request budget, seconds *)
   max_states : int option;  (** default state budget for analyses *)
   max_body : int;  (** request-body cap, bytes *)
-  telemetry : bool;
-      (** RED metrics, in-flight tracking, tracez recording; on by
-          default — the bench harness turns it off to measure bare
-          request handling *)
   slow_ms : float option;
       (** slow-request threshold in milliseconds; requests at or above
           it are flagged in [/tracez] and flight-captured *)
@@ -119,7 +115,7 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:8080], no Unix socket, no deadline, 8 MiB body cap;
-    telemetry on, no slow threshold, no access log, no ledger rows;
+    no slow threshold, no access log, no ledger rows;
     1 worker, 32 concurrent connections, 1000 requests per connection,
     30s idle timeout, no admission limit, no warm-up. *)
 

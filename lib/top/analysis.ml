@@ -94,20 +94,6 @@ let compute ?max_states ?(throughputs = []) tpn =
         throughputs = [];
       })
 
-(* The deprecated pre-artifact entry point: same pipeline, no
-   canonicalization or caching. One warning per process, through the
-   structured log (stderr only when a sink is configured). *)
-let analyze_warned = ref false
-
-let analyze ?max_states ?throughputs tpn =
-  if not !analyze_warned then begin
-    analyze_warned := true;
-    Tpan_obs.Log.warn
-      "Tpan.Analysis.analyze is deprecated; use Tpan.Artifact.analysis (canonicalized, \
-       cached)"
-  end;
-  Result.map notify (compute ?max_states ?throughputs tpn)
-
 let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 let report_fields r =

@@ -1,13 +1,14 @@
 (** One-call analysis facade.
 
-    [load] turns a net source into a {!Tpan_core.Tpn.t}; [analyze] runs the
-    whole concrete pipeline (timed reachability graph → decision graph →
-    rate solve → measures) and returns a plain record — every failure mode
+    [load] turns a net source into a {!Tpan_core.Tpn.t};
+    {!Artifact.analysis} runs the whole concrete pipeline (timed
+    reachability graph → decision graph → rate solve → measures) on its
+    canonical form and returns a plain {!report} — every failure mode
     comes back as an {!Error.t} value, never an exception:
 
     {[
       let net = Tpan.Analysis.(load (Builtin "stopwait")) |> Result.get_ok in
-      match Tpan.Analysis.analyze ~throughputs:[ "t7" ] net with
+      match Tpan.Artifact.analysis ~throughputs:[ "t7" ] (Tpan.Canonical.of_tpn net) with
       | Ok r -> …
       | Error e -> prerr_endline (Tpan.Error.to_string e)
     ]} *)
@@ -51,13 +52,6 @@ val compute :
     cached, notified) instead; [compute] is the function the artifact
     layer caches. *)
 
-val analyze :
-  ?max_states:int -> ?throughputs:string list -> Tpn.t -> (report, Error.t) result
-(** @deprecated Use {!Artifact.analysis}, which canonicalizes the net
-    and serves repeated requests from the artifact cache. This alias
-    runs {!compute} + {!notify} exactly as before the redesign, and
-    logs a one-time deprecation warning through {!Tpan_obs.Log}. *)
-
 val notify : report -> report
 (** Emit the analysis-complete log record and run the registered
     report hooks (returns its argument). The artifact layer calls this
@@ -65,7 +59,7 @@ val notify : report -> report
     always carry the report they served. *)
 
 val add_report_hook : (report -> unit) -> unit
-(** Observe every successful {!analyze} report — the CLI's run ledger
+(** Observe every report {!notify} sees — the CLI's run ledger
     uses this to attach analysis summaries to run records. Hooks run on
     the calling domain; a raising hook is ignored. *)
 
@@ -75,7 +69,7 @@ val report_fields : report -> (string * Tpan_obs.Jsonv.t) list
     [net_hash], [exit_code] + payload). *)
 
 val report_to_json : report -> Tpan_obs.Jsonv.t
-(** Versioned machine rendering ([{"schema": 1, "kind": "analysis", …}]
-    — the schema-1 shape, kept for compatibility). *)
+(** Self-describing rendering ([{"schema": 1, "kind": "analysis", …}])
+    — the shape run-ledger rows store as their report. *)
 
 val pp_report : Format.formatter -> report -> unit

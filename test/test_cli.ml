@@ -68,7 +68,7 @@ let test_sweep () =
     "sweep -m stopwait --vary timeout=250..1000:4 -j 2 --json"
     [ "\"schema\": 2"; "\"exit_code\": 0"; "0.003708"; "0.002851" ]
 
-let test_json_schema () =
+let test_json_envelope () =
   (* schema 2 (default): one envelope around every machine document *)
   let rc, out = run_capture "analyze -m stopwait -t t7 --json" in
   Alcotest.(check int) "analyze --json exits 0" 0 rc;
@@ -84,11 +84,6 @@ let test_json_schema () =
         | Some (Tpan_obs.Jsonv.Str h) -> String.length h = 32
         | _ -> false)
    | Error e -> Alcotest.failf "schema-2 output does not parse: %s" e);
-  (* --json-schema 1 reproduces the historical document *)
-  let rc1, out1 = run_capture "analyze -m stopwait -t t7 --json --json-schema 1" in
-  Alcotest.(check int) "--json-schema 1 exits 0" 0 rc1;
-  Alcotest.(check bool) "legacy schema stamp" true (contains out1 "\"schema\": 1");
-  Alcotest.(check bool) "legacy doc has no envelope" false (contains out1 "net_hash");
   (* same envelope over simulation summaries *)
   let rc2, out2 =
     run_capture "simulate -m stopwait -t t7 --horizon 10000 --seed 4 --json"
@@ -96,6 +91,111 @@ let test_json_schema () =
   Alcotest.(check int) "simulate --json exits 0" 0 rc2;
   Alcotest.(check bool) "simulation envelope" true
     (contains out2 "\"kind\": \"simulation\"" && contains out2 "\"schema\": 2")
+
+(* The schema-2 documents byte for byte, trace id masked: any change to
+   the envelope or a payload shape shows up here as a diff. *)
+let mask_trace_id out =
+  let key = "\"trace_id\": \"" in
+  let n = String.length out and k = String.length key in
+  let rec find i =
+    if i + k > n then None else if String.sub out i k = key then Some i else find (i + 1)
+  in
+  match find 0 with
+  | None -> out
+  | Some i ->
+    let close = String.index_from out (i + k) '"' in
+    String.sub out 0 (i + k) ^ "X" ^ String.sub out close (n - close)
+
+let pinned_docs =
+  [
+    ( "analyze -m stopwait -t t7 --json",
+      {|{
+  "schema": 2,
+  "kind": "analysis",
+  "trace_id": "X",
+  "net_hash": "3c4bdf1bb937a18cf4e83bad49928803",
+  "exit_code": 0,
+  "model": "stopwait",
+  "states": 18,
+  "edges": 20,
+  "decision_nodes": 2,
+  "mean_cycle_time": 316.461,
+  "deterministic_period": null,
+  "throughputs": {
+    "t7": 0.002851
+  }
+}
+|} );
+    ( "simulate -m stopwait -t t7 --horizon 10000 --seed 4 --json",
+      {|{
+  "schema": 2,
+  "kind": "simulation",
+  "trace_id": "X",
+  "net_hash": "3c4bdf1bb937a18cf4e83bad49928803",
+  "exit_code": 0,
+  "horizon": 10000,
+  "seed": 4,
+  "runs": 1,
+  "throughputs": {
+    "t7": {
+      "mean": 0.0023999999999999998,
+      "deadlocked": false
+    }
+  }
+}
+|} );
+    ( "sweep -m stopwait --vary timeout=250..500:2 --json",
+      {|{
+  "schema": 2,
+  "kind": "sweep",
+  "trace_id": "X",
+  "net_hash": null,
+  "exit_code": 0,
+  "axes": [
+    {
+      "name": "timeout",
+      "lo": 250,
+      "hi": 500,
+      "steps": 2
+    }
+  ],
+  "columns": [
+    "thr(t7)",
+    "mean_cycle_time"
+  ],
+  "rows": [
+    {
+      "point": {
+        "timeout": 250
+      },
+      "values": {
+        "thr(t7)": 0.003708,
+        "mean_cycle_time": 243.336
+      },
+      "error": null
+    },
+    {
+      "point": {
+        "timeout": 500
+      },
+      "values": {
+        "thr(t7)": 0.003371,
+        "mean_cycle_time": 267.711
+      },
+      "error": null
+    }
+  ]
+}
+|} );
+  ]
+
+let test_json_pinned () =
+  List.iter
+    (fun (args, expected) ->
+      let rc, out = run_capture args in
+      Alcotest.(check int) (args ^ " exits 0") 0 rc;
+      Alcotest.(check string) args expected (mask_trace_id out))
+    pinned_docs
 
 let test_sweep_determinism () =
   let args j =
@@ -391,7 +491,8 @@ let suite =
       Alcotest.test_case "dot outputs" `Quick test_dot;
       Alcotest.test_case "sweep" `Quick test_sweep;
       Alcotest.test_case "sweep determinism across -j" `Quick test_sweep_determinism;
-      Alcotest.test_case "--json schema 2 and --json-schema 1" `Quick test_json_schema;
+      Alcotest.test_case "--json schema-2 envelope" `Quick test_json_envelope;
+      Alcotest.test_case "--json bytes are pinned" `Quick test_json_pinned;
       Alcotest.test_case "profile" `Quick test_profile;
       Alcotest.test_case "--trace writes NDJSON" `Quick test_trace_flag;
       Alcotest.test_case "--metrics prints table" `Quick test_metrics_flag;

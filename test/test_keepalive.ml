@@ -220,9 +220,17 @@ let test_sequential_reuse () =
           Alcotest.(check int) "statusz 200" 200 r3.status;
           (* garbage mid-stream: answered with 400, then the server
              refuses to resynchronize and closes *)
+          let framing_errors () =
+            Tpan_obs.Metrics.counter_value
+              "serve.endpoint.errors{endpoint=\"other\",type=\"http\"}"
+          in
+          let before = framing_errors () in
           send c "GARBAGE\r\n\r\n";
           let r4 = recv_exn c "malformed" in
           Alcotest.(check int) "malformed head answers 400" 400 r4.status;
+          (* counted before the answer is written *)
+          Alcotest.(check int) "framing error counted as other/http" 1
+            (framing_errors () - before);
           Alcotest.(check (option string))
             "a framing error closes the connection" (Some "close")
             (header r4 "connection");

@@ -141,6 +141,11 @@ let tmp_dir () =
   Unix.mkdir d 0o755;
   d
 
+let statusz_totals () =
+  let reqs = field (parse_body (handle "GET" "/statusz" "")) "requests" in
+  let int k = match J.to_int_opt (field reqs k) with Some n -> n | None -> -1 in
+  (int "total", int "errors", int "timeouts")
+
 let test_statusz () =
   let r = handle "GET" "/statusz" "" in
   Alcotest.(check int) "statusz 200" 200 r.Serve.status;
@@ -234,14 +239,50 @@ let test_tracez_and_red_metrics () =
     (contains om "tpan_serve_endpoint_requests_total{endpoint=\"/eval\"}");
   Alcotest.(check bool) "duration histogram buckets" true
     (contains om "tpan_serve_request_duration_s_bucket{endpoint=\"/eval\",le=");
-  (* unlabelled process-wide totals are still exported for old scrapes *)
-  Alcotest.(check bool) "legacy total kept" true
-    (contains om "tpan_serve_requests_total ");
+  (* the unlabelled process-wide families are gone *)
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) ("legacy family absent: " ^ family) false (contains om family))
+    [ "tpan_serve_requests_total"; "tpan_serve_errors_total";
+      "tpan_serve_timeouts_total"; "tpan_serve_latency_s" ];
+  let before = statusz_totals () in
   let r404 = handle "GET" "/definitely-not-a-route" "" in
   Alcotest.(check int) "404 for the error family" 404 r404.Serve.status;
   let om = (handle "GET" "/metrics" "").Serve.body in
   Alcotest.(check bool) "typed error counter, bounded endpoint label" true
-    (contains om "tpan_serve_endpoint_errors_total{endpoint=\"other\",type=\"http\"}")
+    (contains om "tpan_serve_endpoint_errors_total{endpoint=\"other\",type=\"http\"}");
+  (* /statusz totals are sums over the labelled series: the 404, the
+     scrape and the second statusz request count, the 404 as an error *)
+  let t0, e0, o0 = before and t1, e1, o1 = statusz_totals () in
+  Alcotest.(check int) "statusz total counts every request" 3 (t1 - t0);
+  Alcotest.(check int) "statusz errors count the 404" 1 (e1 - e0);
+  Alcotest.(check int) "statusz timeouts unchanged" 0 (o1 - o0)
+
+(* JSON numbers beyond the int range decode to their exact value, not
+   to 0: [1e19] means the same point as ["10000000000000000000"]. *)
+let test_large_json_numbers () =
+  let eval_at e_t3 =
+    let body =
+      Printf.sprintf
+        {|{"model":"stopwait-sym","transition":"t7","point":{
+          "E(t3)":%s,"F(t1)":"1","F(t2)":"1","F(t3)":"1",
+          "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
+          "F(t8)":"106.7","F(t9)":"106.7",
+          "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"}}|}
+        e_t3
+    in
+    let r = handle "POST" "/eval" body in
+    Alcotest.(check int) (e_t3 ^ " answers 200") 200 r.Serve.status;
+    field (parse_body r) "throughput"
+  in
+  let exact = eval_at {|"10000000000000000000"|} in
+  Alcotest.(check bool) "not the E(t3)=0 answer" true (exact <> eval_at "0");
+  Alcotest.(check bool) "1e19 is exact" true (eval_at "1e19" = exact);
+  Alcotest.(check bool) "a bare 20-digit literal is exact" true
+    (eval_at "10000000000000000000" = exact);
+  Alcotest.(check bool) "1e22 is exact" true
+    (eval_at "1e22" = eval_at (Printf.sprintf "%S" ("1" ^ String.make 22 '0')));
+  Alcotest.(check bool) "1e300 is not read as 0" true (eval_at "1e300" <> eval_at "0")
 
 let test_access_log_slow_dump_ledger () =
   let dir = tmp_dir () in
@@ -409,6 +450,7 @@ let suite =
       Alcotest.test_case "deadline answers 504 / exit 6" `Quick test_deadline_504;
       Alcotest.test_case "sweep endpoint" `Quick test_sweep_endpoint;
       Alcotest.test_case "statusz introspection" `Quick test_statusz;
+      Alcotest.test_case "large JSON numbers decode exactly" `Quick test_large_json_numbers;
       Alcotest.test_case "tracez and RED metrics" `Quick test_tracez_and_red_metrics;
       Alcotest.test_case "access log, slow dump, ledger rows" `Quick
         test_access_log_slow_dump_ledger;
