@@ -75,7 +75,10 @@ let ratfun_of_json doc =
   match (J.member "num" doc, J.member "den" doc) with
   | Some n, Some d -> (
     match (poly_of_json n, poly_of_json d) with
-    | Some num, Some den when not (Poly.is_zero den) -> Some (Rf.make num den)
+    | Some num, Some den when not (Poly.is_zero den) ->
+      (* [reduce] compiles the evaluation program, so a replayed entry
+         weighs what a freshly built one does *)
+      Some (Rf.reduce (Rf.make num den))
     | _ -> None)
   | _ -> None
 

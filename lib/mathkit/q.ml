@@ -98,6 +98,9 @@ let of_decimal_string s =
        let int_part = String.sub s 0 i in
        let frac = String.sub s (i + 1) (String.length s - i - 1) in
        if frac = "" then invalid_arg "Q.of_decimal_string: trailing dot";
+       (* [B.of_string] would take a sign here: "1.-5" is not 1 - 0.5 *)
+       if not (String.for_all (fun c -> c >= '0' && c <= '9') frac) then
+         invalid_arg "Q.of_decimal_string: fraction part must be digits";
        let neg = String.length int_part > 0 && int_part.[0] = '-' in
        let ip = if int_part = "" || int_part = "-" || int_part = "+" then B.zero else B.of_string int_part in
        let scale = B.pow (B.of_int 10) (String.length frac) in

@@ -463,6 +463,15 @@ let bindings_field field obj =
   match J.member field obj with
   | None -> []
   | Some (J.Obj kvs) ->
+    (* evaluation takes a name's first binding while the memo key sorts
+       them all, so a repeat would make the answer depend on cache state *)
+    let rec repeated = function
+      | a :: (b :: _ as rest) -> if a = b then Some a else repeated rest
+      | _ -> None
+    in
+    (match repeated (List.sort String.compare (List.map fst kvs)) with
+     | Some k -> bad (Printf.sprintf "%s: variable %S is bound twice" field k)
+     | None -> ());
     List.map (fun (k, v) -> (k, q_of_json (field ^ "." ^ k) v)) kvs
   | Some _ -> bad (Printf.sprintf "%s: expected an object of variable bindings" field)
 

@@ -160,20 +160,6 @@ let vars p =
   in
   List.map Var.of_id (IS.elements ids)
 
-let eval env (p : t) =
-  MMap.fold
-    (fun m c acc ->
-      let v =
-        List.fold_left
-          (fun acc (vid, e) ->
-            let x = env (Var.of_id vid) in
-            let rec qpow b n = if n = 0 then Q.one else Q.mul b (qpow b (n - 1)) in
-            Q.mul acc (qpow x e))
-          c m
-      in
-      Q.add acc v)
-    p.terms Q.zero
-
 let subst f (p : t) =
   MMap.fold
     (fun m c acc ->

@@ -33,7 +33,6 @@ val size : t -> int
 
 val vars : t -> Var.t list
 
-val eval : (Var.t -> Tpan_mathkit.Q.t) -> t -> Tpan_mathkit.Q.t
 val subst : (Var.t -> t option) -> t -> t
 
 val fold : ((Var.t * int) list -> Tpan_mathkit.Q.t -> 'a -> 'a) -> t -> 'a -> 'a

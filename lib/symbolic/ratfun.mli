@@ -37,7 +37,14 @@ val is_const : t -> bool
 val to_q_opt : t -> Tpan_mathkit.Q.t option
 
 val eval : (Var.t -> Tpan_mathkit.Q.t) -> t -> Tpan_mathkit.Q.t
-(** @raise Division_by_zero if the denominator vanishes at the point. *)
+(** The exact value at a point. Runs the node's compiled program: one
+    integer sum each for numerator and denominator over a common
+    denominator, one gcd at the end. The program is compiled on first use
+    and memoised on the node. [env] is called once per variable, the
+    denominator's first.
+    @raise Not_found if [env] does (a denominator variable's first).
+    @raise Division_by_zero if the denominator vanishes at the point,
+    before any numerator-only variable is looked up. *)
 
 val subst : (Var.t -> Poly.t option) -> t -> t
 
@@ -48,7 +55,9 @@ val reduce : t -> t
 (** Cancel the full polynomial GCD of numerator and denominator (value
     unchanged). Arithmetic keeps only a light normal form for speed; apply
     this to final results for canonical, human-readable expressions. Very
-    large operands are returned unreduced. *)
+    large operands are returned unreduced. The result's evaluation program
+    is compiled before it is returned, so a cache that weighs the value
+    charges the program too. *)
 
 val equal : t -> t -> bool
 (** Exact value equality (cross-multiplies), with pointer and

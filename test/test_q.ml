@@ -33,6 +33,12 @@ let test_decimal_parse () =
   check_q "plain int" (Q.of_int 42) (Q.of_decimal_string "42");
   check_q "fraction" (Q.of_ints 1067 10) (Q.of_decimal_string "1067/10");
   check_q ".5 style" (Q.of_ints 1 2) (Q.of_decimal_string "0.50");
+  List.iter
+    (fun s ->
+      Alcotest.check_raises ("sign after the point: " ^ s)
+        (Invalid_argument "Q.of_decimal_string: fraction part must be digits") (fun () ->
+          ignore (Q.of_decimal_string s)))
+    [ "1.-5"; "1.+5"; "-1.-5"; "0.5-" ];
   Alcotest.check_raises "empty" (Invalid_argument "Q.of_decimal_string: empty") (fun () ->
       ignore (Q.of_decimal_string "  "))
 

@@ -284,6 +284,42 @@ let test_large_json_numbers () =
     (eval_at "1e22" = eval_at (Printf.sprintf "%S" ("1" ^ String.make 22 '0')));
   Alcotest.(check bool) "1e300 is not read as 0" true (eval_at "1e300" <> eval_at "0")
 
+(* A point that binds one name twice used to be answered from its first
+   binding while both orders shared one memo key, so the answer depended
+   on which order the cache saw first: 1805/486672 warm, 1805/632922
+   cold. Any repeated name is now a 400, in all three binding fields. *)
+let test_repeated_binding_rejected () =
+  let rest =
+    {|"F(t1)":"1","F(t2)":"1","F(t3)":"1",
+      "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
+      "F(t8)":"106.7","F(t9)":"106.7",
+      "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"|}
+  in
+  let status target body = (handle "POST" target body).Serve.status in
+  let eval first second =
+    status "/eval"
+      (Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{"E(t3)":%s,"E(t3)":%s,%s}}|}
+         first second rest)
+  in
+  Tpan.Artifact.reset_caches ();
+  Alcotest.(check int) "250 then 1000" 400 (eval "250" "1000");
+  Alcotest.(check int) "1000 then 250" 400 (eval "1000" "250");
+  Alcotest.(check int) "same value twice" 400 (eval "250" "250");
+  Alcotest.(check int) "sweep bindings" 400
+    (status "/sweep"
+       (Printf.sprintf
+          {|{"model":"stopwait-sym","transitions":["t7"],"axes":["E(t3)=250..1000:2"],"bindings":{"F(t1)":"2",%s}}|}
+          rest));
+  Alcotest.(check int) "builtin params" 400
+    (status "/analyze" {|{"model":"stopwait","params":{"timeout":"250","timeout":"1000"}}|});
+  let once e_t3 =
+    status "/eval"
+      (Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{"E(t3)":%s,%s}}|} e_t3
+         rest)
+  in
+  Alcotest.(check int) "distinct names still evaluate" 200 (once {|"250"|});
+  Alcotest.(check int) "a sign after the decimal point" 400 (once {|"250.-5"|})
+
 let test_access_log_slow_dump_ledger () =
   let dir = tmp_dir () in
   let access = Filename.concat dir "access.ndjson" in
@@ -451,6 +487,8 @@ let suite =
       Alcotest.test_case "sweep endpoint" `Quick test_sweep_endpoint;
       Alcotest.test_case "statusz introspection" `Quick test_statusz;
       Alcotest.test_case "large JSON numbers decode exactly" `Quick test_large_json_numbers;
+      Alcotest.test_case "repeated binding names answer 400" `Quick
+        test_repeated_binding_rejected;
       Alcotest.test_case "tracez and RED metrics" `Quick test_tracez_and_red_metrics;
       Alcotest.test_case "access log, slow dump, ledger rows" `Quick
         test_access_log_slow_dump_ledger;

@@ -87,7 +87,7 @@ let test_poly_divide_exact () =
 let test_poly_eval () =
   let env v = match Var.name v with "x" -> qi 3 | "y" -> qi 4 | _ -> Q.zero in
   Alcotest.(check bool) "x^2+y = 13" true
-    (Q.equal (qi 13) (Poly.eval env (Poly.add (Poly.pow x 2) y)))
+    (Q.equal (qi 13) (Rf.eval env (Rf.of_poly (Poly.add (Poly.pow x 2) y))))
 
 let test_poly_subst () =
   (* substitute y := x+1 into x*y: expect x^2 + x *)
