@@ -1545,8 +1545,8 @@ let top_cmd =
    context by the handler. *)
 let serve_cmd =
   let run host port socket deadline jobs log_level cache_mb cache_dir max_states
-      slow_ms access_log flight no_ledger ledger_dir workers
-      max_requests_per_conn idle_timeout max_inflight max_conns warm =
+      slow_ms access_log flight no_ledger ledger_dir max_requests_per_conn
+      idle_timeout max_inflight max_conns warm =
     handle_errors (fun () ->
         (match jobs with
          | None -> ()
@@ -1579,11 +1579,6 @@ let serve_cmd =
               (if no_ledger then None
                else
                  Some (match ledger_dir with Some d -> d | None -> Obs.Ledger.default_dir ()));
-            workers =
-              (match workers with
-              | 0 -> Tpan_par.Pool.recommended_jobs ()
-              | n when n > 0 -> n
-              | _ -> fail_input "--workers expects a non-negative count (0 = auto)");
             max_requests_per_conn;
             idle_timeout;
             max_inflight;
@@ -1706,17 +1701,6 @@ let serve_cmd =
              $(b,serve:<endpoint>), queried by $(b,tpan runs --stats)); default \
              $(b,.tpan) or \\$TPAN_DIR.")
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Accept-loop worker domains ($(b,0) = auto). With more than one, TCP \
-             listeners use SO_REUSEPORT for kernel-balanced accepts where available; \
-             otherwise the workers share the listeners under an accept mutex. Each \
-             worker reports $(b,worker)-labelled request counters and a heartbeat in \
-             /statusz.")
-  in
   let max_requests_per_conn_arg =
     Arg.(
       value & opt int 1000
@@ -1752,7 +1736,7 @@ let serve_cmd =
           ~doc:
             "Concurrent-connection budget: each accepted connection is served on its \
              own domain, up to $(docv) at once. Beyond it a connection is still \
-             answered — inline by its accept worker, one request, then a forced \
+             answered — inline by the accept loop, one request, then a forced \
              $(b,Connection: close) — so keep-alive clients can never starve new \
              arrivals.")
   in
@@ -1777,7 +1761,7 @@ let serve_cmd =
       const run $ host_arg $ port_arg $ socket_arg $ deadline_arg $ jobs_arg
       $ log_level_arg $ cache_budget_arg $ cache_dir_arg $ max_states_arg
       $ slow_ms_arg $ access_log_arg $ flight_arg $ no_ledger_arg
-      $ ledger_dir_arg $ workers_arg $ max_requests_per_conn_arg $ idle_timeout_arg
+      $ ledger_dir_arg $ max_requests_per_conn_arg $ idle_timeout_arg
       $ max_inflight_arg $ max_conns_arg $ warm_arg)
 
 (* ----- version ----- *)

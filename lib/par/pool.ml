@@ -138,42 +138,3 @@ let map ?jobs f xs =
       | Error e -> raise e.exn
     in
     List.map reraise_first (try_map ?jobs f xs)
-
-(* ---------------- long-running service workers ----------------
-
-   The fork-join harness above buffers metrics and log records until the
-   join — correct for bounded tasks, useless for workers that live as
-   long as the process (a server's accept loops would never publish a
-   counter). Service workers therefore get a lane and the caller's
-   request context but neither [Metrics.Local] nor [Log.Local]: their
-   updates land in the global registry immediately. They also do NOT set
-   the nested-call worker flag, so work dispatched from inside a service
-   worker (a request fanning a sweep out over [map]) still parallelizes. *)
-
-module Service = struct
-  let run ~workers f =
-    let workers = max 1 workers in
-    if workers = 1 then f 0
-    else begin
-      let ctx = Tpan_obs.Context.current () in
-      let guarded k () =
-        Tpan_obs.Trace.set_lane k;
-        Tpan_obs.Context.set ctx;
-        try f k
-        with e ->
-          Tpan_obs.Log.error "pool.service: worker died"
-            ~fields:
-              [
-                ("worker", Tpan_obs.Jsonv.Int k);
-                ("error", Tpan_obs.Jsonv.Str (Printexc.to_string e));
-              ]
-      in
-      let domains =
-        Array.init (workers - 1) (fun i -> Domain.spawn (guarded (i + 1)))
-      in
-      (* the caller is worker 0 and keeps lane 0 *)
-      let r = (try Ok (f 0) with e -> Error e) in
-      Array.iter Domain.join domains;
-      match r with Ok () -> () | Error e -> raise e
-    end
-end

@@ -89,23 +89,3 @@ val try_map : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, error) result list
 (** Like {!map} but captures each task's failure in its slot instead of
     re-raising, so one bad sweep point doesn't lose the rest of the
     grid. Result order matches input order. *)
-
-(** {1 Long-running service workers} *)
-
-module Service : sig
-  val run : workers:int -> (int -> unit) -> unit
-  (** [run ~workers f] runs [f k] for [k = 0 .. workers-1], worker 0 on
-      the calling domain and the rest on fresh domains, and joins them
-      all before returning. Built for workers that live as long as the
-      process (a server's accept loops), so — unlike {!map} workers —
-      they install {e no} metrics or log buffering: counter increments
-      and log records publish immediately, keeping a live [/metrics]
-      endpoint truthful while the workers run. Each worker gets trace
-      lane [k] and the caller's request context. The nested-call guard
-      is {e not} set: work dispatched from inside a service worker
-      (e.g. a request fanning a sweep over {!map}) still parallelizes.
-      Keep worker-side logging low-volume — records drive the sinks
-      from multiple domains. An exception escaping a spawned worker is
-      logged and swallows that worker; one escaping worker 0 re-raises
-      after the others join. *)
-end

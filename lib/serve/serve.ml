@@ -13,7 +13,6 @@ type config = {
   flight_path : string option;
   access_log : string option;
   ledger_dir : string option;
-  workers : int;
   max_requests_per_conn : int;
   idle_timeout : float;
   max_inflight : int option;
@@ -33,7 +32,6 @@ let default_config =
     flight_path = None;
     access_log = None;
     ledger_dir = None;
-    workers = 1;
     max_requests_per_conn = 1000;
     idle_timeout = 30.;
     max_inflight = None;
@@ -111,68 +109,12 @@ let total_errors types =
        (fun ep -> List.map (Printf.sprintf "{endpoint=%S,type=%S}" ep) types)
        all_endpoints)
 
-(* Process-wide counters are plain mutable ints; with a multi-domain
-   accept loop their increments would race and drop. Request accounting
-   therefore serializes through one stats mutex — the critical sections
-   are a handful of integer bumps, invisible next to even a cached
-   request. *)
+(* Process-wide counters are plain mutable ints, and every connection
+   runs on its own domain, so unsynchronized increments would race and
+   drop. Request accounting therefore serializes through one stats
+   mutex — the critical sections are a handful of integer bumps,
+   invisible next to even a cached request. *)
 let stats_lock = Mutex.create ()
-
-(* ----- per-worker accept loop stats -----
-
-   Each accept worker registers itself here at spawn: its RED counters
-   are labelled [{worker="k"}] and /statusz lists the workers with a
-   last-activity heartbeat, making a wedged accept loop visible at a
-   glance. [w_connections] has the accept loop as its only writer;
-   [w_requests] and the heartbeat are bumped from every connection
-   domain attributed to the worker, so those go through [workers_lock]
-   to keep the plain-int counters exact. *)
-
-type worker_stats = {
-  w_id : int;
-  w_requests : Obs.Metrics.Counter.t;
-  w_connections : Obs.Metrics.Counter.t;
-  mutable w_last_beat : float;
-}
-
-let workers_tbl : (int, worker_stats) Hashtbl.t = Hashtbl.create 8
-let workers_lock = Mutex.create ()
-
-let current_worker : worker_stats option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let worker_reset () =
-  Mutex.protect workers_lock (fun () -> Hashtbl.reset workers_tbl)
-
-let worker_register k =
-  let w =
-    {
-      w_id = k;
-      w_requests =
-        Obs.Metrics.counter_with "serve.worker.requests"
-          [ ("worker", string_of_int k) ];
-      w_connections =
-        Obs.Metrics.counter_with "serve.worker.connections"
-          [ ("worker", string_of_int k) ];
-      w_last_beat = Unix.gettimeofday ();
-    }
-  in
-  Mutex.protect workers_lock (fun () -> Hashtbl.replace workers_tbl k w);
-  Domain.DLS.get current_worker := Some w;
-  w
-
-let worker_note_request () =
-  match !(Domain.DLS.get current_worker) with
-  | Some w ->
-    Mutex.protect workers_lock (fun () ->
-        Obs.Metrics.Counter.incr w.w_requests;
-        w.w_last_beat <- Unix.gettimeofday ())
-  | None -> ()
-
-let workers_list () =
-  Mutex.protect workers_lock (fun () ->
-      Hashtbl.fold (fun _ w acc -> w :: acc) workers_tbl [])
-  |> List.sort (fun a b -> compare a.w_id b.w_id)
 
 (* In-flight requests, keyed by trace id. The handler publishes each
    request here for /statusz and keeps a domain-local pointer so the
@@ -329,75 +271,6 @@ module Admission = struct
           decr active;
           Condition.signal turnstile;
           Mutex.unlock lock)
-end
-
-(* ----- /sweep single-flight -----
-
-   Grid sweeps are the expensive POSTs, and fan-in traffic (a dashboard
-   refreshing, N clients asking the same question) tends to ask for the
-   same grid at once. Identical concurrent sweeps — same canonical net,
-   same dispatch parameters — coalesce onto one leader computing on the
-   worker pool while followers block on its result; they are exact
-   duplicates, so the followers' envelopes share the leader's trace id.
-   Leader failures propagate the same exception to every follower and
-   are never cached beyond the flight. *)
-
-module Singleflight = struct
-  type outcome = Done of response | Failed of exn
-
-  type entry = { mutable outcome : outcome option }
-
-  let lock = Mutex.create ()
-  let done_ = Condition.create ()
-  let flights : (string, entry) Hashtbl.t = Hashtbl.create 8
-  let m_coalesced = lazy (Obs.Metrics.counter "serve.sweep.coalesced")
-
-  let run key f =
-    Mutex.lock lock;
-    match Hashtbl.find_opt flights key with
-    | Some e ->
-      (* A follower waits for the leader's outcome but keeps honoring
-         its own request deadline: with an ambient [Cancel] deadline
-         the wait is chopped into short slices that re-check the token
-         between parks, so a follower whose budget expires while the
-         leader computes unwinds with [Cancelled] (answered as its own
-         504) instead of inheriting the leader's possibly much later
-         outcome. Followers without a deadline park on the condition
-         and wake with the leader's broadcast. *)
-      let timed =
-        match Obs.Cancel.current () with
-        | Some tok -> Obs.Cancel.deadline tok <> None
-        | None -> false
-      in
-      let rec await () =
-        match e.outcome with
-        | Some o -> o
-        | None ->
-          if timed then begin
-            Mutex.unlock lock;
-            Obs.Cancel.checkpoint () (* raises past the deadline *);
-            Unix.sleepf 0.01;
-            Mutex.lock lock
-          end
-          else Condition.wait done_ lock;
-          await ()
-      in
-      let o = await () in
-      Mutex.unlock lock;
-      Mutex.protect stats_lock (fun () ->
-          Obs.Metrics.Counter.incr (Lazy.force m_coalesced));
-      (match o with Done r -> r | Failed e -> raise e)
-    | None ->
-      let e = { outcome = None } in
-      Hashtbl.replace flights key e;
-      Mutex.unlock lock;
-      let o = match f () with r -> Done r | exception exn -> Failed exn in
-      Mutex.lock lock;
-      e.outcome <- Some o;
-      Hashtbl.remove flights key;
-      Condition.broadcast done_;
-      Mutex.unlock lock;
-      (match o with Done r -> r | Failed e -> raise e)
 end
 
 (* ----- request JSON helpers ----- *)
@@ -637,40 +510,6 @@ let sweep_fields (sw : Tpan_perf.Sweep.t) =
     ("rows", J.List (List.map row sw.rows));
   ]
 
-(* The /sweep coalescing key is exactly the dispatch inputs — two
-   requests that agree on it receive byte-identical grids — serialized
-   as JSON so every string component (binding names, transition names)
-   is escaped by the encoder: a hostile name containing '='/','/'|'
-   cannot forge the shape of another request and coalesce two
-   semantically different sweeps onto one flight. *)
-let sweep_key ~net_hash ~max_states ~jobs ~transitions ~bindings ~axes =
-  let opt_int = function Some n -> J.Int n | None -> J.Null in
-  J.to_string
-    (J.Obj
-       [
-         ("net", J.Str net_hash);
-         ("max_states", opt_int max_states);
-         ("jobs", opt_int jobs);
-         ("transitions", J.List (List.map (fun t -> J.Str t) transitions));
-         ( "bindings",
-           J.Obj
-             (List.map
-                (fun (n, q) -> (n, J.Str (Q.to_string q)))
-                (List.sort (fun (a, _) (b, _) -> String.compare a b) bindings)) );
-         ( "axes",
-           J.List
-             (List.map
-                (fun (a : Tpan_perf.Sweep.axis) ->
-                  J.Obj
-                    [
-                      ("name", J.Str a.name);
-                      ("lo", J.Str (Q.to_string a.lo));
-                      ("hi", J.Str (Q.to_string a.hi));
-                      ("steps", J.Int a.steps);
-                    ])
-                axes) );
-       ])
-
 let h_sweep config obj =
   let canonical = canonical_of_body obj in
   let max_states =
@@ -683,27 +522,23 @@ let h_sweep config obj =
   in
   let bindings = bindings_field "bindings" obj in
   let axes = axes_field obj in
-  let jobs = int_field "jobs" obj in
-  let key =
-    sweep_key
-      ~net_hash:(Tpan.Canonical.hash canonical)
-      ~max_states ~jobs ~transitions ~bindings ~axes
+  (* the client picks the fan-out, but never beyond what [-j 0] would
+     use: each extra lane is a domain spawned for this one request *)
+  let jobs =
+    Option.map (min (Tpan_par.Pool.recommended_jobs ())) (int_field "jobs" obj)
   in
-  Singleflight.run key (fun () ->
-      match
-        Tpan.Artifact.sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings
-          ~axes
-      with
-      | Ok sw ->
-        json 200
-          (envelope ~kind:"sweep"
-             ~net_hash:(Some (Tpan.Canonical.hash canonical))
-             ~exit_code:0 (sweep_fields sw))
-      | Error e ->
-        error_response
-          ~net_hash:(Tpan.Canonical.hash canonical)
-          (status_of_error e) ~exit_code:(Tpan.Error.exit_code e)
-          (Tpan.Error.to_string e))
+  match
+    Tpan.Artifact.sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings ~axes
+  with
+  | Ok sw ->
+    json 200
+      (envelope ~kind:"sweep"
+         ~net_hash:(Some (Tpan.Canonical.hash canonical))
+         ~exit_code:0 (sweep_fields sw))
+  | Error e ->
+    error_response
+      ~net_hash:(Tpan.Canonical.hash canonical)
+      (status_of_error e) ~exit_code:(Tpan.Error.exit_code e) (Tpan.Error.to_string e)
 
 (* ----- introspection endpoints ----- *)
 
@@ -773,20 +608,6 @@ let statusz_json () =
             ("inflight", J.Int (List.length infl));
           ] );
       ("caches", J.List (cache_stats_json ()));
-      ( "workers",
-        J.List
-          (List.map
-             (fun w ->
-               J.Obj
-                 [
-                   ("worker", J.Int w.w_id);
-                   ("lane", J.Int w.w_id);
-                   ("requests", J.Int (Obs.Metrics.Counter.value w.w_requests));
-                   ( "connections",
-                     J.Int (Obs.Metrics.Counter.value w.w_connections) );
-                   ("idle_s", J.Float (now -. w.w_last_beat));
-                 ])
-             (workers_list ())) );
       ( "heartbeats",
         J.List
           (List.map
@@ -1029,7 +850,6 @@ let ledger_row config ~req ~status ~dur ~stages =
 
 let handle config ~meth ~target ~body =
   let t0 = Unix.gettimeofday () in
-  worker_note_request ();
   let path, query = split_target target in
   let endpoint = normalize_endpoint path in
   let name = meth ^ " " ^ endpoint in
@@ -1099,10 +919,10 @@ let handle config ~meth ~target ~body =
    a buffer that survives across requests (the pipelining window),
    honours [Connection: close]/[keep-alive], and is bounded by
    [max_requests_per_conn] and an idle timeout carried by a
-   {!Obs.Cancel} deadline token. Accepting fans out over
-   [config.workers] service domains; each accepted connection is then
-   served on its own domain (see {!Conns}), so a parked keep-alive
-   client never blocks the accept plane. *)
+   {!Obs.Cancel} deadline token. One accept loop on the calling domain
+   watches every listener; each accepted connection is then served on
+   its own domain (see {!Conns}), so a parked keep-alive client never
+   blocks the accept loop. *)
 
 let status_text = function
   | 200 -> "OK"
@@ -1135,7 +955,7 @@ let m_client_aborts = lazy (Obs.Metrics.counter "serve.client_aborts")
 (* ----- shutdown plumbing: the self-pipe -----
 
    Signal handlers set the stop flag and write one byte to a pipe that
-   every blocking select in every worker watches, so shutdown breaks
+   every blocking select on every domain watches, so shutdown breaks
    those waits immediately — the seed's accept loop instead polled on a
    fixed 0.25s tick, quantizing shutdown latency (and, with keep-alive,
    it would have quantized idle reaping too). The byte is deliberately
@@ -1176,7 +996,7 @@ let wait_readable conn ~deadline =
     if timeout <= 0. then `Timeout
     else begin
       (* heartbeat per wait, so /statusz shows live lanes even when every
-         worker is parked in a keep-alive read *)
+         connection is parked in a keep-alive read *)
       Obs.Cancel.checkpoint ();
       match Unix.select (conn.fd :: Option.to_list conn.wake) [] [] timeout with
       | [], _, _ -> `Timeout
@@ -1262,13 +1082,25 @@ let parse_head raw =
   in
   { meth; target; version; req_headers }
 
+(* Only [1*DIGIT] (RFC 9110 §8.6): [int_of_string] alone would also take
+   [0x5], [0_5] or [+5], and a proxy reading those differently would
+   split the stream elsewhere. Repeats must agree (RFC 9112 §6.3). *)
 let content_length req_headers =
-  match List.assoc_opt "content-length" req_headers with
-  | None -> None
-  | Some v -> (
+  let parse v =
     match int_of_string_opt v with
-    | Some n when n >= 0 -> Some n
-    | _ -> raise (Http_error (400, "bad Content-Length")))
+    | Some n when String.for_all (fun c -> c >= '0' && c <= '9') v -> n
+    | _ -> raise (Http_error (400, "bad Content-Length"))
+  in
+  match
+    List.filter_map
+      (fun (k, v) -> if k = "content-length" then Some (parse v) else None)
+      req_headers
+  with
+  | [] -> None
+  | n :: rest ->
+    if List.exists (( <> ) n) rest then
+      raise (Http_error (400, "conflicting Content-Length headers"));
+    Some n
 
 (* Chunked framing is not implemented; misparsing it as an unframed
    body would desynchronize the connection, so refuse loudly. *)
@@ -1437,15 +1269,15 @@ let serve_connection config conn =
 (* ----- per-connection service domains -----
 
    With keep-alive as the HTTP/1.1 default, serving a connection inline
-   in its accept worker would let one parked client pin that worker for
-   up to [max_requests_per_conn] requests and starve every other client
+   in the accept loop would let one parked client pin the loop for up
+   to [max_requests_per_conn] requests and starve every other client
    behind it. Each accepted socket therefore runs on its own domain,
    bounded by [config.max_conns]; finished domains are joined
    opportunistically on later accepts and drained at shutdown. When the
-   budget is spent (or the runtime refuses another domain), the worker
-   serves the connection inline but capped to a single request with a
-   forced [Connection: close] — head-of-line blocking bounded to one
-   request instead of an unbounded keep-alive session. *)
+   budget is spent (or the runtime refuses another domain), the accept
+   loop serves the connection inline but capped to a single request
+   with a forced [Connection: close] — head-of-line blocking bounded to
+   one request instead of an unbounded keep-alive session. *)
 
 module Conns = struct
   type handle = { dom : unit Domain.t; finished : bool Atomic.t }
@@ -1506,15 +1338,14 @@ module Conns = struct
     Obs.Metrics.Gauge.set (Lazy.force m_active) 0.
 end
 
-(* ----- listeners and the accept plane ----- *)
+(* ----- listeners and the accept loop ----- *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let bind_tcp ?(reuseport = false) host port =
+let bind_tcp host port =
   let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt s Unix.SO_REUSEADDR true;
-    if reuseport then Unix.setsockopt s Unix.SO_REUSEPORT true;
     Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
     Unix.listen s 128;
     Unix.set_nonblock s
@@ -1529,56 +1360,24 @@ let bound_port s =
 
 let run ?(ready = fun _ -> ()) config =
   Atomic.set stop false;
-  worker_reset ();
   install_signals ();
   let wake_read, wake_w = Unix.pipe () in
   Atomic.set wake_write (Some wake_w);
-  let workers = max 1 config.workers in
-  (* [shared] listeners are watched by every worker under an accept
-     mutex; [private_listeners.(k)] belong to worker [k] alone. With
-     SO_REUSEPORT available and a TCP-only, multi-worker configuration,
-     each worker gets its own kernel-balanced TCP listener; unix-domain
-     sockets (and platforms rejecting the option) use the shared set. *)
-  let shared = ref [] in
-  let private_listeners = Array.make workers [] in
-  let tcp_port = ref None in
-  (match config.port with
-  | None -> ()
-  | Some p ->
-    let bind_shared () =
-      let s = bind_tcp config.host p in
-      tcp_port := bound_port s;
-      shared := s :: !shared
-    in
-    if workers = 1 || config.socket_path <> None then bind_shared ()
-    else begin
-      let opened = ref [] in
-      match
-        let first = bind_tcp ~reuseport:true config.host p in
-        opened := [ first ];
-        let actual = Option.value (bound_port first) ~default:p in
-        for _ = 2 to workers do
-          opened := bind_tcp ~reuseport:true config.host actual :: !opened
-        done;
-        (first, List.rev !opened)
-      with
-      | first, all ->
-        tcp_port := bound_port first;
-        List.iteri (fun k s -> private_listeners.(k) <- [ s ]) all
-      | exception _ ->
-        List.iter close_quietly !opened;
-        bind_shared ()
-    end);
-  (match config.socket_path with
-  | None -> ()
-  | Some path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind s (Unix.ADDR_UNIX path);
-    Unix.listen s 128;
-    Unix.set_nonblock s;
-    shared := s :: !shared);
-  if !shared = [] && Array.for_all (fun l -> l = []) private_listeners then
+  let tcp = Option.map (bind_tcp config.host) config.port in
+  let tcp_port = Option.bind tcp bound_port in
+  let unix_sock =
+    Option.map
+      (fun path ->
+        (try Unix.unlink path with Unix.Unix_error _ -> ());
+        let s = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind s (Unix.ADDR_UNIX path);
+        Unix.listen s 128;
+        Unix.set_nonblock s;
+        s)
+      config.socket_path
+  in
+  let listeners = Option.to_list tcp @ Option.to_list unix_sock in
+  if listeners = [] then
     invalid_arg "serve: no listen address (need a port or a socket path)";
   (* warm the artifact caches before announcing ready: the listeners
      already hold the port (connections queue in the backlog), but
@@ -1602,24 +1401,22 @@ let run ?(ready = fun _ -> ()) config =
           ("seconds", J.Float (Obs.Mclock.now () -. t0));
         ]
   end;
-  ready !tcp_port;
+  ready tcp_port;
   Obs.Log.info "serve: listening"
     ~fields:
       [
-        ("port", (match !tcp_port with Some p -> J.Int p | None -> J.Null));
+        ("port", (match tcp_port with Some p -> J.Int p | None -> J.Null));
         ( "socket",
           match config.socket_path with Some p -> J.Str p | None -> J.Null );
-        ("workers", J.Int workers);
         ( "slow_ms",
           match config.slow_ms with Some ms -> J.Float ms | None -> J.Null );
         ( "access_log",
           match config.access_log with Some p -> J.Str p | None -> J.Null );
       ];
-  let accept_lock = Mutex.create () in
-  (* Try to accept one connection from [listeners]; [None] means retry
-     (spurious wakeup, EAGAIN race) or shutdown. The select blocks
-     without a timeout — the wake pipe is the only way out. *)
-  let accept_from listeners =
+  (* Accept one connection; [None] means retry (spurious wakeup, EAGAIN
+     race) or shutdown. The select blocks without a timeout — the wake
+     pipe is the only way out. *)
+  let accept_once () =
     if Atomic.get stop then None
     else begin
       Obs.Cancel.checkpoint ();
@@ -1642,11 +1439,11 @@ let run ?(ready = fun _ -> ()) config =
                   None
                 | exception Unix.Unix_error (err, _, _) ->
                   (* EMFILE/ENFILE under fd exhaustion, and anything
-                     else unexpected, must never escape and kill the
-                     worker: a dead worker's SO_REUSEPORT listener
-                     stays bound, and the kernel keeps balancing new
-                     connections onto it. Log, back off briefly so a
-                     persistent condition can't spin the loop, retry. *)
+                     else unexpected, must never escape and end the
+                     loop: the listeners would stay bound, and clients
+                     would queue on a port nobody answers. Log, back off
+                     briefly so a persistent condition can't spin the
+                     loop, retry. *)
                   Obs.Log.warn "serve: accept failed"
                     ~fields:[ ("error", J.Str (Unix.error_message err)) ];
                   Unix.sleepf 0.05;
@@ -1660,62 +1457,36 @@ let run ?(ready = fun _ -> ()) config =
         None
     end
   in
-  let accept_shared () =
-    Mutex.lock accept_lock;
-    let r = accept_from !shared in
-    Mutex.unlock accept_lock;
-    r
-  in
-  let worker_loop k =
-    let w = worker_register k in
-    let accept_once () =
-      if private_listeners.(k) = [] then accept_shared ()
-      else accept_from private_listeners.(k)
-    in
-    let rec loop () =
-      if not (Atomic.get stop) then begin
-        (match accept_once () with
-        | None -> ()
-        | Some fd ->
-          (* the accept loop is this counter's only writer *)
-          Obs.Metrics.Counter.incr w.w_connections;
-          Mutex.protect workers_lock (fun () ->
-              w.w_last_beat <- Unix.gettimeofday ());
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ | Invalid_argument _ -> ());
-          (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-          let conn = { fd; inbuf = Buffer.create 4096; wake = Some wake_read } in
-          let serve config =
-            Fun.protect
-              ~finally:(fun () -> close_quietly fd)
-              (fun () ->
-                try serve_connection config conn
-                with exn ->
-                  Obs.Log.warn "serve: connection failed"
-                    ~fields:[ ("error", J.Str (Printexc.to_string exn)) ])
-          in
-          let spawned =
-            Conns.try_spawn ~limit:(max 1 config.max_conns) (fun () ->
-                (* requests served here still count against worker [k] *)
-                Domain.DLS.get current_worker := Some w;
-                serve config)
-          in
-          if not spawned then begin
-            Conns.note_inline ();
-            serve { config with max_requests_per_conn = 1 }
-          end);
-        loop ()
+  while not (Atomic.get stop) do
+    match accept_once () with
+    | None -> ()
+    | Some fd ->
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ | Invalid_argument _ -> ());
+      (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
+      let conn = { fd; inbuf = Buffer.create 4096; wake = Some wake_read } in
+      let serve config =
+        Fun.protect
+          ~finally:(fun () -> close_quietly fd)
+          (fun () ->
+            try serve_connection config conn
+            with exn ->
+              Obs.Log.warn "serve: connection failed"
+                ~fields:[ ("error", J.Str (Printexc.to_string exn)) ])
+      in
+      let spawned =
+        Conns.try_spawn ~limit:(max 1 config.max_conns) (fun () -> serve config)
+      in
+      if not spawned then begin
+        Conns.note_inline ();
+        serve { config with max_requests_per_conn = 1 }
       end
-    in
-    loop ()
-  in
-  Tpan_par.Pool.Service.run ~workers worker_loop;
+  done;
   (* connection domains select on the wake pipe: drain them before any
      fd below closes under them *)
   Conns.drain ();
   Atomic.set wake_write None;
-  List.iter close_quietly !shared;
-  Array.iter (List.iter close_quietly) private_listeners;
+  List.iter close_quietly listeners;
   close_quietly wake_read;
   close_quietly wake_w;
   (match config.socket_path with

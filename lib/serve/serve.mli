@@ -8,12 +8,13 @@
       rational point (the million-user fast path: after the first
       request for a net, no symbolic build happens again)
     - [POST /sweep] — closed-form parameter sweep, batched onto the
-      worker pool
+      worker pool (the request's [jobs], capped at
+      {!Tpan_par.Pool.recommended_jobs})
     - [GET /metrics] — the {!Tpan_obs.Metrics} registry as OpenMetrics
       (includes [cache.*] hit/miss/eviction counters and [serve.*])
     - [GET /healthz] — liveness
     - [GET /statusz] — live introspection: uptime, build version,
-      per-artifact-kind cache hit ratios, worker heartbeats, GC stats,
+      per-artifact-kind cache hit ratios, lane heartbeats, GC stats,
       and the in-flight requests with their age and trace id
     - [GET /tracez] — latency-bucketed ring buffers of recent request
       span trees ({!Tpan_obs.Tracez}), so the slow tail always has
@@ -59,26 +60,21 @@
     close after answering; a vanished peer (EOF/EPIPE/ECONNRESET) is
     a logged, counted ([serve.client_aborts]), non-fatal abort.
 
-    {b Workers.} Accepting fans out over [workers] long-running
-    domains ({!Tpan_par.Pool.Service}): with SO_REUSEPORT available
-    and a TCP-only configuration each worker owns a kernel-balanced
-    listener, otherwise all workers share the listener set under an
-    accept mutex. Each accepted connection is then served on a domain
-    of its own (up to [max_conns]; beyond that, inline with a forced
-    close after one request), so a parked keep-alive client never
-    starves other clients of its accept loop. Each worker carries
-    [{worker="k"}]-labelled RED counters and a last-activity heartbeat
-    in [/statusz]. Shutdown (SIGTERM/SIGINT or {!shutdown}) wakes
-    every blocking select through a self-pipe immediately — no polling
-    tick — and drains live connections before closing the sockets.
-    Accept-path failures (EMFILE under fd exhaustion and kin) are
-    logged and retried after a short back-off, never fatal.
+    {b Accepting.} One accept loop, on the domain that called {!run},
+    watches every listener. Each accepted connection is served on a
+    domain of its own (up to [max_conns]; beyond that, inline with a
+    forced close after one request), so a parked keep-alive client
+    never starves the accept loop. Shutdown (SIGTERM/SIGINT or
+    {!shutdown}) wakes every blocking select through a self-pipe
+    immediately — no polling tick — and drains live connections
+    before closing the sockets. Accept-path failures (EMFILE under fd
+    exhaustion and kin) are logged and retried after a short back-off,
+    never fatal.
 
     {b Load shedding.} With [max_inflight] set, POST endpoints admit
     at most that many concurrent analyses, queue up to twice as many,
     and answer [503 + Retry-After] beyond; introspection endpoints
-    never queue. Identical concurrent [/sweep] requests (same
-    canonical net and grid) coalesce onto one computation. *)
+    never queue. *)
 
 type config = {
   host : string;  (** IP to bind, e.g. ["127.0.0.1"] *)
@@ -95,7 +91,6 @@ type config = {
   access_log : string option;  (** NDJSON access-log path *)
   ledger_dir : string option;
       (** when set, append one run-ledger row per request there *)
-  workers : int;  (** accept-loop domains (default 1) *)
   max_requests_per_conn : int;
       (** keep-alive budget per connection; [<= 0] means unlimited *)
   idle_timeout : float;
@@ -107,7 +102,7 @@ type config = {
   max_conns : int;
       (** concurrent-connection budget: each accepted connection is
           served on its own domain up to this many; beyond it a
-          connection is served inline by its accept worker, capped to
+          connection is served inline by the accept loop, capped to
           one request with a forced [Connection: close] *)
   warm : string list;
       (** builtin models to pre-build before announcing ready *)
@@ -116,7 +111,7 @@ type config = {
 val default_config : config
 (** [127.0.0.1:8080], no Unix socket, no deadline, 8 MiB body cap;
     no slow threshold, no access log, no ledger rows;
-    1 worker, 32 concurrent connections, 1000 requests per connection,
+    32 concurrent connections, 1000 requests per connection,
     30s idle timeout, no admission limit, no warm-up. *)
 
 type response = {
@@ -140,28 +135,5 @@ val run : ?ready:(int option -> unit) -> config -> unit
 
 val shutdown : unit -> unit
 (** Ask a running server to stop, from any domain: sets the stop flag
-    and wakes every worker's blocking wait through the self-pipe. The
-    signal handlers call exactly this. *)
-
-(**/**)
-
-(* White-box test hooks — not part of the service interface. *)
-
-val sweep_key :
-  net_hash:string ->
-  max_states:int option ->
-  jobs:int option ->
-  transitions:string list ->
-  bindings:(string * Tpan_mathkit.Q.t) list ->
-  axes:Tpan_perf.Sweep.axis list ->
-  string
-(** The /sweep single-flight coalescing key: a JSON serialization of
-    the dispatch inputs, so no client-controlled string can forge the
-    shape of another request's key. *)
-
-module Singleflight : sig
-  val run : string -> (unit -> response) -> response
-  (** Coalesce concurrent calls sharing a key onto one leader; a
-      follower carrying an ambient {!Tpan_obs.Cancel} deadline gives up
-      with [Cancelled] when its own budget expires mid-flight. *)
-end
+    and wakes every blocking wait through the self-pipe. The signal
+    handlers call exactly this. *)

@@ -1,7 +1,7 @@
 (* The socket plane of [tpan serve]: keep-alive and pipelining framing,
-   idle timeouts, torn and malformed heads, per-connection request
-   budgets, the multi-worker accept loop, admission control and /sweep
-   single-flight. The server runs in a domain of this process (so the
+   idle timeouts, torn, malformed and smuggling heads, per-connection
+   request budgets and domains, admission control and concurrent /sweep
+   requests. The server runs in a domain of this process (so the
    tests can read its metric counters directly); clients are plain
    [Unix] sockets speaking hand-rolled HTTP/1.1. *)
 
@@ -235,7 +235,28 @@ let test_sequential_reuse () =
             "a framing error closes the connection" (Some "close")
             (header r4 "connection");
           Alcotest.(check bool) "and the socket reaches EOF" true
-            (recv c = None)))
+            (recv c = None));
+      (* a Content-Length that is not 1*DIGIT, or repeats that disagree,
+         would frame the body differently from a proxy that reads it
+         another way (request smuggling): answered 400, then closed
+         before the five body bytes can be read as a request *)
+      List.iter
+        (fun lengths ->
+          let what = "Content-Length: " ^ String.concat ", " lengths in
+          let c = connect port in
+          Fun.protect
+            ~finally:(fun () -> close_client c)
+            (fun () ->
+              send c
+                (request
+                   ~headers:(List.map (fun v -> ("Content-Length", v)) lengths)
+                   "GET" "/healthz" ""
+                ^ "hello"
+                ^ request "GET" "/healthz" "");
+              Alcotest.(check int) (what ^ " answers 400") 400
+                (recv_exn c what).status;
+              Alcotest.(check bool) (what ^ " then EOF") true (recv c = None)))
+        [ [ "0x5" ]; [ "0_5" ]; [ "+5" ]; [ "0o7" ]; [ "0b11" ]; [ "5"; "0" ] ])
 
 let test_http10_defaults_to_close () =
   with_server base_config (fun port ->
@@ -319,7 +340,7 @@ let test_torn_header_and_midstream_hangup () =
         end
       in
       await ();
-      (* and the worker is back accepting *)
+      (* and the accept loop is back accepting *)
       let c3 = connect port in
       Fun.protect
         ~finally:(fun () -> close_client c3)
@@ -349,10 +370,9 @@ let test_max_requests_per_conn () =
 
 (* ----- the connection plane: no head-of-line blocking ----- *)
 
-(* The seed served one connection at a time per worker, so with the
-   default single worker a parked keep-alive client (any poller with an
-   interval below the 30s idle timeout) starved every other client.
-   Connections now run on their own domains. *)
+(* Served inline in the accept loop, a parked keep-alive client (any
+   poller with an interval below the 30s idle timeout) would starve
+   every other client; connections run on their own domains. *)
 let test_parked_connection_does_not_starve () =
   with_server base_config (fun port ->
       let a = connect port in
@@ -374,7 +394,7 @@ let test_parked_connection_does_not_starve () =
           Alcotest.(check int) "A again" 200 (recv_exn a "A#2").status))
 
 (* Past the [max_conns] budget a connection is still answered — inline
-   by the accept worker, one request, forced close — so the worker is
+   by the accept loop, one request, forced close — so the loop is
    pinned for at most one request, never a keep-alive session. *)
 let test_conn_capacity_falls_back_to_close () =
   with_server { base_config with Serve.max_conns = 1 } (fun port ->
@@ -396,48 +416,11 @@ let test_conn_capacity_falls_back_to_close () =
             "B forced to close" (Some "close") (header r "connection");
           Alcotest.(check bool) "B reaches EOF" true (recv b = None)))
 
-(* ----- the multi-worker accept plane ----- *)
-
-let test_two_workers () =
-  with_server { base_config with Serve.workers = 2 } (fun port ->
-      (* a few short-lived connections, then ask /statusz who served *)
-      for _ = 1 to 4 do
-        let c = connect port in
-        Fun.protect
-          ~finally:(fun () -> close_client c)
-          (fun () ->
-            send c (request ~headers:[ ("Connection", "close") ] "GET" "/healthz" "");
-            Alcotest.(check int) "healthz 200" 200 (recv_exn c "healthz").status)
-      done;
-      let c = connect port in
-      Fun.protect
-        ~finally:(fun () -> close_client c)
-        (fun () ->
-          send c (request "GET" "/statusz" "");
-          let r = recv_exn c "statusz" in
-          Alcotest.(check int) "statusz 200" 200 r.status;
-          let doc =
-            match J.of_string r.body with
-            | Ok d -> d
-            | Error e -> Alcotest.failf "statusz not JSON: %s" e
-          in
-          match J.member "workers" doc with
-          | Some (J.List ws) ->
-            Alcotest.(check int) "both workers registered" 2 (List.length ws);
-            List.iter
-              (fun w ->
-                Alcotest.(check bool) "worker row carries a heartbeat" true
-                  (match Option.bind (J.member "idle_s" w) J.to_float_opt with
-                  | Some s -> s >= 0.
-                  | None -> false))
-              ws
-          | _ -> Alcotest.fail "statusz lacks a workers list"))
-
-(* ----- admission control and /sweep single-flight -----
+(* ----- admission control and concurrent /sweep requests -----
 
    Driven through [Serve.handle] on concurrent pool lanes: the gate and
-   the flight table sit on the request path itself, so the socket layer
-   adds nothing but noise here. *)
+   the artifact cache sit on the request path itself, so the socket
+   layer adds nothing but noise here. *)
 
 let test_overload_503_with_retry_after () =
   Tpan.Artifact.reset_caches ();
@@ -470,89 +453,58 @@ let test_overload_503_with_retry_after () =
         | Error _ -> false))
     shed
 
-let test_sweep_single_flight () =
+(* Identical concurrent sweeps share one derivation of the closed form
+   (the artifact cache builds each key exactly once) but answer for
+   themselves: each response carries its own trace id, so the id a
+   client holds names its own /tracez entry, access-log line and ledger
+   row. *)
+let test_identical_sweeps () =
   Tpan.Artifact.reset_caches ();
-  let prime =
-    Serve.handle base_config ~meth:"POST" ~target:"/sweep" ~body:(sweep_body 10)
-  in
-  Alcotest.(check int) "priming sweep 200" 200 prime.Serve.status;
-  let before = Tpan_obs.Metrics.counter_value "serve.sweep.coalesced" in
-  let body = sweep_body 4000 in
+  let builds () = Tpan_obs.Metrics.counter_value "cache.closed_form.misses" in
+  let before = builds () in
+  let body = sweep_body 400 in
   let responses =
     Tpan_par.Pool.map ~jobs:4
       (fun () -> Serve.handle base_config ~meth:"POST" ~target:"/sweep" ~body)
       [ (); (); (); () ]
   in
   List.iter
-    (fun r -> Alcotest.(check int) "coalesced sweep 200" 200 r.Serve.status)
+    (fun r -> Alcotest.(check int) "identical sweep 200" 200 r.Serve.status)
     responses;
-  let coalesced =
-    Tpan_obs.Metrics.counter_value "serve.sweep.coalesced" - before
+  Alcotest.(check int) "the closed form is derived once" 1 (builds () - before);
+  let trace_id r =
+    match Result.map (J.member "trace_id") (J.of_string r.Serve.body) with
+    | Ok (Some (J.Str t)) -> t
+    | _ -> Alcotest.failf "sweep answer lacks a trace id: %s" r.Serve.body
   in
-  Alcotest.(check bool) "identical concurrent sweeps coalesced" true
-    (coalesced >= 1);
-  (* followers answered with the leader's bytes: at most
-     [4 - coalesced] distinct response bodies (trace ids differ across
-     flights, never within one) *)
-  let distinct =
-    List.sort_uniq compare (List.map (fun r -> r.Serve.body) responses)
+  let masked r =
+    String.split_on_char '\n' r.Serve.body
+    |> List.filter (fun l -> not (String.starts_with ~prefix:{|  "trace_id": |} l))
+    |> String.concat "\n"
   in
-  Alcotest.(check bool) "followers share the leader's response" true
-    (List.length distinct <= 4 - coalesced)
-
-(* The coalescing key serializes its components as JSON, so binding
-   names carrying the seed key's separators ('=', ',', '|') can no
-   longer collide two semantically different requests onto one flight
-   (one client would have received the other's response bytes). *)
-let test_sweep_key_unambiguous () =
-  let q = Tpan_mathkit.Q.of_int in
-  let axis = { Tpan_perf.Sweep.name = "a"; lo = q 0; hi = q 1; steps = 2 } in
-  let key bindings transitions =
-    Serve.sweep_key ~net_hash:"h" ~max_states:None ~jobs:None ~transitions
-      ~bindings ~axes:[ axis ]
+  (match List.map masked responses with
+  | first :: rest ->
+    List.iter (Alcotest.(check string) "same payload, trace id aside" first) rest
+  | [] -> ());
+  let tids = List.map trace_id responses in
+  Alcotest.(check int) "four distinct trace ids" 4
+    (List.length (List.sort_uniq compare tids));
+  let sweep_tids =
+    List.concat_map
+      (fun (name, buckets, errors) ->
+        if name <> "POST /sweep" then []
+        else
+          List.concat_map
+            (fun (b : Tpan_obs.Tracez.bucket_view) ->
+              List.map (fun (e : Tpan_obs.Tracez.entry) -> e.trace_id) b.entries)
+            (errors :: buckets))
+      (Tpan_obs.Tracez.snapshot ())
   in
-  Alcotest.(check bool) "binding names cannot forge separators" true
-    (key [ ("x=1,y", q 2) ] [ "t" ] <> key [ ("x", q 1); ("y", q 2) ] [ "t" ]);
-  Alcotest.(check bool) "transition lists cannot collide" true
-    (key [] [ "t1,t2" ] <> key [] [ "t1"; "t2" ]);
-  Alcotest.(check bool) "binding order is canonicalized" true
-    (key [ ("x", q 1); ("y", q 2) ] [ "t" ]
-    = key [ ("y", q 2); ("x", q 1) ] [ "t" ])
-
-(* A single-flight follower must honor its own deadline while the
-   leader computes, not inherit the leader's (possibly much later)
-   outcome. *)
-let test_singleflight_follower_deadline () =
-  let entered = Atomic.make false in
-  let release = Atomic.make false in
-  let resp body =
-    { Serve.status = 200; content_type = "text/plain"; body; headers = [] }
-  in
-  let leader =
-    Domain.spawn (fun () ->
-        Serve.Singleflight.run "sf-deadline-test" (fun () ->
-            Atomic.set entered true;
-            while not (Atomic.get release) do
-              Unix.sleepf 0.005
-            done;
-            resp "leader"))
-  in
-  while not (Atomic.get entered) do
-    Unix.sleepf 0.001
-  done;
-  let tok = Tpan_obs.Cancel.create ~deadline_in:0.05 () in
-  let t0 = Unix.gettimeofday () in
-  (match
-     Tpan_obs.Cancel.with_token tok (fun () ->
-         Serve.Singleflight.run "sf-deadline-test" (fun () -> resp "follower"))
-   with
-  | _ -> Alcotest.fail "follower ignored its expired deadline"
-  | exception Tpan_obs.Cancel.Cancelled _ -> ());
-  Alcotest.(check bool) "follower unblocked near its own deadline" true
-    (Unix.gettimeofday () -. t0 < 2.);
-  Atomic.set release true;
-  let r = Domain.join leader in
-  Alcotest.(check string) "leader unaffected" "leader" r.Serve.body
+  List.iter
+    (fun t ->
+      Alcotest.(check bool) (t ^ " is in /tracez under POST /sweep") true
+        (List.mem t sweep_tids))
+    tids
 
 let suite =
   ( "keepalive",
@@ -573,14 +525,7 @@ let suite =
         test_parked_connection_does_not_starve;
       Alcotest.test_case "connection budget falls back to close" `Quick
         test_conn_capacity_falls_back_to_close;
-      Alcotest.test_case "two workers accept and report heartbeats" `Quick
-        test_two_workers;
+      Alcotest.test_case "identical sweeps fly once" `Quick test_identical_sweeps;
       Alcotest.test_case "overload answers 503 + Retry-After" `Quick
         test_overload_503_with_retry_after;
-      Alcotest.test_case "identical sweeps fly once" `Quick
-        test_sweep_single_flight;
-      Alcotest.test_case "sweep key is injection-proof" `Quick
-        test_sweep_key_unambiguous;
-      Alcotest.test_case "single-flight follower honors its deadline" `Quick
-        test_singleflight_follower_deadline;
     ] )

@@ -126,6 +126,41 @@ let test_sweep_endpoint () =
   Alcotest.(check bool) "first grid point carries the exact value" true
     (contains r.Serve.body "1805/486672")
 
+(* A sweep's [jobs] is the client's wish, capped at what [-j 0] would
+   use: every lane past the first is a domain spawned for this one
+   request. Each spawned lane records one [par.pool.worker_minor_words]
+   observation. *)
+let test_sweep_jobs_capped () =
+  let body jobs =
+    Printf.sprintf
+      {|{"model":"stopwait-sym","transitions":["t7"],"jobs":%d,
+         "axes":["E(t3)=250..1000:64"],
+         "bindings":{"F(t1)":"1","F(t2)":"1","F(t3)":"1",
+           "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
+           "F(t8)":"106.7","F(t9)":"106.7",
+           "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"}}|}
+      jobs
+  in
+  let lanes = Tpan_obs.Metrics.histogram "par.pool.worker_minor_words" in
+  let sweep jobs =
+    let before = Tpan_obs.Metrics.Histogram.count lanes in
+    let r = handle "POST" "/sweep" (body jobs) in
+    Alcotest.(check int) (Printf.sprintf "jobs %d answers 200" jobs) 200 r.Serve.status;
+    let payload =
+      String.split_on_char '\n' r.Serve.body
+      |> List.filter (fun l -> not (String.starts_with ~prefix:{|  "trace_id": |} l))
+      |> String.concat "\n"
+    in
+    (payload, Tpan_obs.Metrics.Histogram.count lanes - before)
+  in
+  let narrow, _ = sweep 1 in
+  let wide, spawned = sweep 64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs 64 spawned %d lanes, at most recommended_jobs () - 1" spawned)
+    true
+    (spawned <= Tpan_par.Pool.recommended_jobs () - 1);
+  Alcotest.(check string) "same payload as jobs 1, trace id aside" narrow wide
+
 (* ----- telemetry plane ----- *)
 
 let contains s sub =
@@ -493,4 +528,5 @@ let suite =
       Alcotest.test_case "access log, slow dump, ledger rows" `Quick
         test_access_log_slow_dump_ledger;
       Alcotest.test_case "concurrent scrapes under load" `Quick test_concurrent_scrapes;
+      Alcotest.test_case "sweep jobs capped at recommended" `Quick test_sweep_jobs_capped;
     ] )
