@@ -93,12 +93,24 @@ let timed name f =
 
 let oracle_records : (string * O.stats) list ref = ref []
 
-(* (workload, jobs, wall seconds at -j1/-jN, minor words at -j1/-jN);
-   dumped as the "parallel" array of BENCH_tpan.json. Minor words per run
-   are the calling domain's allocation delta plus whatever the pool's
-   worker domains reported through the par.pool.worker_minor_words
-   histogram during the run, so the figure covers all domains. *)
-let parallel_records : (string * int * float * float * float * float) list ref = ref []
+(* One EXT-PAR workload, dumped into the "parallel" array of
+   BENCH_tpan.json; each pair is (-j1, -jN). [cpu] is user + system time
+   from [Unix.times], which counts every domain: a -jN run that burns
+   about N times its wall time got its cores, one that burns about its
+   wall time did not, so a failed speedup check shows whether the host
+   or the code is at fault. [minor_words] is the calling domain's
+   allocation delta plus whatever the pool's worker domains reported
+   through the par.pool.worker_minor_words histogram during the run, so
+   it covers all domains too. *)
+type parallel_record = {
+  workload : string;
+  jobs : int;
+  wall : float * float;
+  cpu : float * float;
+  minor_words : float * float;
+}
+
+let parallel_records : parallel_record list ref = ref []
 
 (* running total of worker-domain minor words, from the pool's histogram *)
 let pool_minor_sum () =
@@ -810,12 +822,16 @@ let ext_par () =
   let module Pool = Tpan_par.Pool in
   let module Sweep = Tpan_perf.Sweep in
   let jn = Pool.recommended_jobs () in
+  let cpu () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let wall f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Unix.gettimeofday () and c0 = cpu () in
     let mw0 = Gc.minor_words () +. pool_minor_sum () in
     let r = f () in
     let mw = Gc.minor_words () +. pool_minor_sum () -. mw0 in
-    (r, Unix.gettimeofday () -. t0, mw)
+    (r, Unix.gettimeofday () -. t0, cpu () -. c0, mw)
   in
   (* Five interleaved j1/jN rounds, each side keeping its fastest run: a
      replication batch takes ~0.1 s, short enough for one scheduler
@@ -827,15 +843,18 @@ let ext_par () =
     in
     let fastest runs =
       List.fold_left
-        (fun ((_, t, _) as b) ((_, t', _) as x) -> if t' < t then x else b)
+        (fun ((_, t, _, _) as b) ((_, t', _, _) as x) -> if t' < t then x else b)
         (List.hd runs) runs
     in
-    let r1, t1, mw1 = fastest (List.map fst rounds) in
-    let rn, tn, mwn = fastest (List.map snd rounds) in
-    parallel_records := (name, jn, t1, tn, mw1, mwn) :: !parallel_records;
+    let r1, t1, c1, mw1 = fastest (List.map fst rounds) in
+    let rn, tn, cn, mwn = fastest (List.map snd rounds) in
+    parallel_records :=
+      { workload = name; jobs = jn; wall = (t1, tn); cpu = (c1, cn); minor_words = (mw1, mwn) }
+      :: !parallel_records;
     Format.printf
-      "  %-18s  j1 %8.3f s (%.2e mw)   j%d %8.3f s (%.2e mw)   speedup %.2fx@." name t1
-      mw1 jn tn mwn (t1 /. tn);
+      "  %-18s  j1 %8.3f s (cpu %.3f s, %.2e mw)   j%d %8.3f s (cpu %.3f s, %.2e mw)   \
+       speedup %.2fx@."
+      name t1 c1 mw1 jn tn cn mwn (t1 /. tn);
     (r1, rn, t1 /. tn)
   in
   (* 1. concrete parameter-grid sweep: per-point rebuild + full analysis *)
@@ -1381,11 +1400,13 @@ let emit_json ~micro path =
         (escape model) st.O.queries st.O.trivial st.O.hits st.O.misses
         st.O.witness_refutations st.O.fm_runs st.O.baseline_fm_runs (num reduction));
   pr "\n  ],\n  \"parallel\": [\n";
-  sep (List.rev !parallel_records) (fun (name, jobs, t1, tn, mw1, mwn) ->
+  sep (List.rev !parallel_records) (fun r ->
+      let t1, tn = r.wall and c1, cn = r.cpu and mw1, mwn = r.minor_words in
       pr
         "    {\"workload\": \"%s\", \"jobs\": %d, \"seconds_j1\": %s, \"seconds_jn\": %s, \
+         \"cpu_seconds_j1\": %s, \"cpu_seconds_jn\": %s, \
          \"speedup\": %s, \"minor_words_j1\": %s, \"minor_words_jn\": %s}"
-        (escape name) jobs (num t1) (num tn)
+        (escape r.workload) r.jobs (num t1) (num tn) (num c1) (num cn)
         (num (if tn > 0. then t1 /. tn else Float.nan))
         (num mw1) (num mwn));
   pr "\n  ],\n  \"ext_exp\": [\n";

@@ -1652,9 +1652,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:
-            "Persist artifacts (closed forms, concrete TRGs, reports, point \
-             evaluations) as NDJSON under $(docv) (e.g. $(b,.tpan/cache)); a restarted \
-             server replays every kind and skips the rebuilds.")
+            "Persist artifacts (closed forms, point evaluations, analysis reports) as \
+             NDJSON under $(docv) (e.g. $(b,.tpan/cache)); a restarted server replays \
+             them and skips the rebuilds.")
   in
   let slow_ms_arg =
     Arg.(
@@ -1746,9 +1746,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "warm" ] ~docv:"NET[,NET...]"
           ~doc:
-            "Pre-build the named builtin models (reports and concrete TRGs, or closed \
-             forms for symbolic models) before announcing ready, so first requests hit \
-             a hot cache — with --cache-dir, this also seeds the persisted artifacts.")
+            "Pre-build the named builtin models (analysis reports for concrete models, \
+             closed forms for symbolic ones) before announcing ready, so first requests \
+             hit a hot cache — with --cache-dir, this also seeds the persisted \
+             artifacts.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -2,7 +2,7 @@
     optional NDJSON persistence.
 
     One ['a t] instance holds one {e kind} of artifact (closed-form
-    throughput expressions, analysis reports, simulation summaries, …),
+    throughput expressions, point evaluations, analysis reports, …),
     keyed by strings — in practice a {!Tpan.Canonical} content hash plus
     the artifact's own parameters. The cache is the reason identical
     nets hit the symbolic build exactly once: {!find_or_build} computes

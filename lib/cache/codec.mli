@@ -1,10 +1,12 @@
-(** JSON codecs for the cacheable symbolic values.
+(** JSON codecs for the persisted values: exact rationals (analysis
+    reports and point evaluations) and closed-form expressions.
 
     Persistence never marshals: a closed-form expression written by one
     process is decoded structurally by the next, which re-interns every
-    symbol through {!Tpan_symbolic.Var} — so the integer variable ids
-    inside decoded polynomials are always this process's ids and decoded
-    expressions compose safely with freshly-built ones.
+    symbol through {!Tpan_symbolic.Var} by its display name — so the
+    integer variable ids inside decoded polynomials are always this
+    process's ids and decoded expressions compose safely with
+    freshly-built ones.
 
     Encoding is exact: coefficients render through
     {!Tpan_mathkit.Q.to_string} (["a/b"] or an integer) and parse back
@@ -13,28 +15,9 @@
 val q_to_json : Tpan_mathkit.Q.t -> Tpan_obs.Jsonv.t
 val q_of_json : Tpan_obs.Jsonv.t -> Tpan_mathkit.Q.t option
 
-val var_of_name : string -> Tpan_symbolic.Var.t
-(** Re-intern a variable from its display name: ["E(x)"], ["F(x)"],
-    ["f(x)"] map to the enabling/firing/frequency symbol of label [x];
-    anything else is a [Param]. Inverse of {!Tpan_symbolic.Var.name}. *)
-
-val poly_to_json : Tpan_symbolic.Poly.t -> Tpan_obs.Jsonv.t
-(** A list of monomials [{"c": "3/4", "m": [["E(t3)", 2], …]}]. *)
-
-val poly_of_json : Tpan_obs.Jsonv.t -> Tpan_symbolic.Poly.t option
-
 val ratfun_to_json : Tpan_symbolic.Ratfun.t -> Tpan_obs.Jsonv.t
-(** [{"num": <poly>, "den": <poly>}]. *)
+(** [{"num": <poly>, "den": <poly>}], each polynomial a list of
+    monomials [{"c": "3/4", "m": [["E(t3)", 2], …]}]. *)
 
 val ratfun_of_json : Tpan_obs.Jsonv.t -> Tpan_symbolic.Ratfun.t option
-
-val trg_to_json : (Tpan_mathkit.Q.t, Tpan_mathkit.Q.t) Tpan_core.Semantics.graph -> Tpan_obs.Jsonv.t
-(** A concrete timed reachability graph, self-contained: the net rides
-    along as its canonical [.tpn] source and the state/edge arrays are
-    rendered with exact rational entries. *)
-
-val trg_of_json : Tpan_obs.Jsonv.t -> (Tpan_mathkit.Q.t, Tpan_mathkit.Q.t) Tpan_core.Semantics.graph option
-(** Reparse the embedded net and rebuild the graph against it. [None]
-    on any structural mismatch — including a place/transition name list
-    that disagrees with the reparsed net, so a stale line falls back to
-    a rebuild rather than a misindexed graph. *)
+(** [None] on any malformed document or a zero denominator. *)

@@ -94,9 +94,6 @@ val check_tpn :
     wrong expression and the checker must flag it); when given, shrinking
     keeps the net structure and only minimizes the point. *)
 
-val check_case :
-  ?config:config -> Gen.case -> (outcome, Tpan_core.Error.t) result
-
 val fuzz :
   ?config:config ->
   ?jobs:int ->

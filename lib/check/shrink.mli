@@ -11,11 +11,6 @@
 module Q = Tpan_mathkit.Q
 module Tpn = Tpan_core.Tpn
 
-val drop_transition : Tpn.t -> string -> Tpn.t option
-(** The net without the named transition; constraints mentioning symbols
-    that no longer occur are dropped. [None] when the transition does not
-    exist or the reduced net is rejected by {!Tpan_core.Tpn.make}. *)
-
 val minimize :
   ?structure:bool ->
   still_fails:(Tpn.t -> Sampler.point -> bool) ->

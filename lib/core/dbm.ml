@@ -14,10 +14,6 @@ let bound_add a b =
 
 let bound_min a b = if bound_compare a b <= 0 then a else b
 
-let pp_bound fmt = function
-  | Inf -> Format.pp_print_string fmt "inf"
-  | Fin q -> Q.pp_decimal ~digits:6 fmt q
-
 type t = { n : int; m : bound array array }
 (* [m] is (n+1)×(n+1); row/col 0 is the constant zero variable. *)
 
@@ -26,7 +22,6 @@ let create n =
   let m = Array.init size (fun i -> Array.init size (fun j -> if i = j then Fin Q.zero else Inf)) in
   { n; m }
 
-let dim d = d.n
 let get d i j = d.m.(i).(j)
 let set d i j b = d.m.(i).(j) <- b
 let constrain d i j b = d.m.(i).(j) <- bound_min d.m.(i).(j) b

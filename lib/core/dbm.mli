@@ -13,14 +13,12 @@ type bound = Fin of Q.t | Inf
 val bound_compare : bound -> bound -> int
 val bound_add : bound -> bound -> bound
 val bound_min : bound -> bound -> bound
-val pp_bound : Format.formatter -> bound -> unit
 
 type t
 
 val create : int -> t
 (** Unconstrained DBM on [n] variables (all bounds +∞, zero diagonal). *)
 
-val dim : t -> int
 val get : t -> int -> int -> bound
 
 val set : t -> int -> int -> bound -> unit

@@ -2,15 +2,17 @@
 
     Every failure mode the pipeline can hit — unsupported net features,
     truncated exploration, unsolvable rate equations, parse errors — has a
-    variant here, so [result]-typed entry points ([Reachability.explore_result],
-    [Exponential.build_result], [Tpan.Analysis.*], …) share one error type
-    and the CLI maps them all onto stable exit codes in one place.
+    variant here. The analysis layers raise exceptions; the facade's
+    [result]-typed entry points ([Tpan.Analysis.*], [Tpan.Artifact.*])
+    return these values, and the CLI and server map them onto stable exit
+    codes in one place.
 
     Layering: this module lives in [tpan_core], below [tpan_perf] and
     [tpan_dsl], so {!of_exn} only classifies the exceptions core can see
     ([Tpn.Unsupported], [Symbolic.Insufficient], [Reachability.State_limit],
-    [Sys_error]). The facade's [Tpan.Error.of_exn] extends the match to
-    perf- and parser-level exceptions. *)
+    [Cancel.Cancelled], [Sys_error]). [Tpan_perf.Errors.of_exn] adds the
+    perf-level exceptions (a sweep classifies failed points with it), and
+    the facade's [Tpan.Error.of_exn] adds the parser's. *)
 
 type t =
   | Unsupported of string

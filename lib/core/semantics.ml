@@ -53,15 +53,6 @@ type ('time, 'prob) graph = {
   kinds : state_kind array;
 }
 
-let graph_num_states g = Array.length g.states
-let graph_num_edges g = Array.fold_left (fun acc l -> acc + List.length l) 0 g.out
-
-let graph_decision_states g =
-  List.filter (fun i -> g.kinds.(i) = Decision) (List.init (Array.length g.states) Fun.id)
-
-let graph_terminal_states g =
-  List.filter (fun i -> g.kinds.(i) = Terminal) (List.init (Array.length g.states) Fun.id)
-
 let branching_states g =
   List.filter
     (fun i -> List.length g.out.(i) > 1)
@@ -347,10 +338,11 @@ module Make (D : DOMAIN) = struct
     let kinds = Array.map (kind_of_state tpn) states in
     { tpn; states; out; kinds }
 
-  let decision_states = graph_decision_states
-  let terminal_states = graph_terminal_states
-  let num_states = graph_num_states
-  let num_edges = graph_num_edges
+  let terminal_states g =
+    List.filter (fun i -> g.kinds.(i) = Terminal) (List.init (Array.length g.states) Fun.id)
+
+  let num_states g = Array.length g.states
+  let num_edges g = Array.fold_left (fun acc l -> acc + List.length l) 0 g.out
 
   let pp_state tpn fmt st =
     let net = Tpn.net tpn in

@@ -89,12 +89,6 @@ type ('time, 'prob) graph = {
   kinds : state_kind array;
 }
 
-val graph_num_states : _ graph -> int
-val graph_num_edges : _ graph -> int
-
-val graph_decision_states : _ graph -> int list
-val graph_terminal_states : _ graph -> int list
-
 val branching_states : _ graph -> int list
 (** States with more than one successor: the nodes the paper keeps in the
     decision graph (its Figure 5 "decision nodes" 3 and 11). *)
@@ -124,8 +118,6 @@ module Make (D : DOMAIN) : sig
       @raise Tpn.Unsupported on nets violating the paper's assumptions
       @raise Tpan_petri.Reachability.State_limit when the budget is hit *)
 
-  val kind_of_state : Tpn.t -> state -> state_kind
-  val decision_states : graph -> int list
   val terminal_states : graph -> int list
   val num_states : graph -> int
   val num_edges : graph -> int

@@ -252,9 +252,3 @@ let of_tpn tpn =
   (timed, fun t -> Net.trans_name src t ^ "__emit")
 
 let project_marking _g m ~original_places = Array.sub m 0 original_places
-
-let pp_class g fmt c =
-  Format.fprintf fmt "@[<v>%a" (Marking.pp g.net) c.marking;
-  Format.fprintf fmt " enabled={%s}"
-    (String.concat ", " (List.map (Net.trans_name g.net) c.enabled));
-  Format.fprintf fmt "@,%a@]" Dbm.pp c.domain

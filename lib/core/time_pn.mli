@@ -79,5 +79,3 @@ val of_tpn : Tpn.t -> t * (Net.trans -> string)
 val project_marking : t -> Marking.t -> original_places:int -> Marking.t
 (** Restrict a translated-net marking to the original places (buffer
     places are appended after the originals, so this is a prefix). *)
-
-val pp_class : t -> Format.formatter -> state_class -> unit

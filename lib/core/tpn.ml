@@ -14,7 +14,6 @@ let spec ?(enabling = Fixed Q.zero) ?(firing = Fixed Q.zero) ?(frequency = Freq 
   { enabling; firing; frequency }
 
 let fixed q = Fixed q
-let fixed_ms s = Fixed (Q.of_decimal_string s)
 let sym_enabling label = Sym (Var.enabling label)
 let sym_firing label = Sym (Var.firing label)
 

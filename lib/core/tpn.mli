@@ -29,8 +29,6 @@ val spec :
 (** Defaults: [enabling = Fixed 0], [firing = Fixed 0], [frequency = Freq 1]. *)
 
 val fixed : Q.t -> time_spec
-val fixed_ms : string -> time_spec
-(** [fixed_ms "106.7"] — decimal shorthand. *)
 
 val sym_enabling : string -> time_spec
 (** [sym_enabling "t3"] is the symbol [E(t3)]. *)

@@ -84,10 +84,6 @@ let ge a b = { form = Linform.sub a b; rel = Ge }
 let gt a b = { form = Linform.sub a b; rel = Gt }
 let eq a b = { form = Linform.sub a b; rel = Eq }
 
-let pp_constr ?name fmt c =
-  let op = match c.rel with Ge -> ">= 0" | Gt -> "> 0" | Eq -> "= 0" in
-  Format.fprintf fmt "%a %s" (Linform.pp ?name) c.form op
-
 let satisfies env c =
   let v = Linform.eval env c.form in
   match c.rel with

@@ -53,8 +53,6 @@ val ge : Linform.t -> Linform.t -> constr
 val gt : Linform.t -> Linform.t -> constr
 val eq : Linform.t -> Linform.t -> constr
 
-val pp_constr : ?name:(int -> string) -> Format.formatter -> constr -> unit
-
 val satisfies : (int -> Q.t) -> constr -> bool
 
 val feasible : constr list -> bool

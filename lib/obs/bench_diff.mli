@@ -39,7 +39,6 @@ type report = {
 
 val default_warn : float
 val default_fail : float
-val verdict_to_string : verdict -> string
 
 val figures_of_json : Jsonv.t -> (figure list, string) result
 (** Extract the ["figures"] array of a parsed [BENCH_tpan.json]. *)

@@ -1,7 +1,10 @@
 (* Cooperative cancellation tokens.
 
-   A token is a single cross-domain cell: [None] while the request is
-   live, [Some reason] once somebody cancelled it. Hot loops poll the
+   A token is a cross-domain cell: [None] while the request is live,
+   [Some reason] once somebody cancelled it. A separate claim flag picks
+   the one canceller, which runs the on-cancel hook {e before} it
+   publishes the reason, so no checkpoint raises while the hook (a dump
+   writer) is still reading every domain's span stack. Hot loops poll the
    ambient token with {!checkpoint}; the poll costs one [Domain.DLS]
    lookup and an [Atomic.get] (plus a clock read when the token carries
    a deadline), so it is cheap enough to leave permanently in the
@@ -27,13 +30,15 @@ let reason_to_string = function
   | Interrupted what -> "interrupted by " ^ what
 
 type token = {
-  state : reason option Atomic.t;
+  claimed : bool Atomic.t; (* set by the one canceller, before its hook *)
+  state : reason option Atomic.t; (* published after the hook *)
   deadline : float option; (* absolute Mclock instant *)
   budget : float option; (* the relative budget, for messages *)
 }
 
 let create ?deadline_in () =
   {
+    claimed = Atomic.make false;
     state = Atomic.make None;
     deadline = Option.map (fun d -> Mclock.now () +. d) deadline_in;
     budget = deadline_in;
@@ -44,7 +49,7 @@ let deadline t = t.deadline
 let budget t = t.budget
 
 (* First-cancellation hook: fired exactly once per token, by whichever
-   domain wins the CAS. The CLI registers a diagnostic-dump writer here
+   domain wins the claim. The CLI registers a diagnostic-dump writer here
    so the dump is taken while every domain's span stack is still live —
    by the time the [Cancelled] exception reaches a handler the stacks
    have unwound. Hook exceptions are swallowed: cancellation must not
@@ -58,7 +63,10 @@ let fire_hook r =
   | None -> ()
 
 let cancel t r =
-  if Atomic.compare_and_set t.state None (Some r) then fire_hook r
+  if Atomic.compare_and_set t.claimed false true then begin
+    fire_hook r;
+    Atomic.set t.state (Some r)
+  end
 
 (* ---------------- ambient token + heartbeats ---------------- *)
 
@@ -89,12 +97,6 @@ let active_key : token option ref Domain.DLS.key =
 let set t = Domain.DLS.get active_key := t
 let current () = !(Domain.DLS.get active_key)
 
-let with_token t f =
-  let cell = Domain.DLS.get active_key in
-  let saved = !cell in
-  cell := Some t;
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
 let checkpoint () =
   incr (Domain.DLS.get beat_key);
   match !(Domain.DLS.get active_key) with
@@ -104,9 +106,9 @@ let checkpoint () =
     | Some r -> raise (Cancelled r)
     | None -> (
       match t.deadline with
-      | Some dl when Mclock.now () >= dl ->
-        let r = Deadline (Option.value ~default:0. t.budget) in
-        cancel t r;
-        (* another domain may have won the race with a different reason *)
-        raise (Cancelled (Option.value ~default:r (Atomic.get t.state)))
+      | Some dl when Mclock.now () >= dl -> (
+        cancel t (Deadline (Option.value ~default:0. t.budget));
+        (* published if this domain won the claim; a domain that lost it
+           keeps running until the winner's hook is done *)
+        match Atomic.get t.state with Some r -> raise (Cancelled r) | None -> ())
       | _ -> ()))

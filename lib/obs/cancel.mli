@@ -34,10 +34,15 @@ val create : ?deadline_in:float -> unit -> token
     resolved against {!Mclock.now} at creation. *)
 
 val cancel : token -> reason -> unit
-(** Cancel the token (idempotent — the first reason wins). The winning
-    call fires the {!set_on_cancel} hook before returning. *)
+(** Cancel the token (idempotent — the first call claims it and its
+    reason wins). The claiming call runs the {!set_on_cancel} hook, then
+    publishes the reason, before returning; later calls return at once,
+    possibly before the reason is published. *)
 
 val cancelled : token -> reason option
+(** The published reason: [None] until the claiming {!cancel}'s hook has
+    returned. *)
+
 val deadline : token -> float option
 (** The absolute {!Mclock} instant of the deadline, when one was set. *)
 
@@ -46,10 +51,10 @@ val budget : token -> float option
 
 val set_on_cancel : (reason -> unit) option -> unit
 (** Register a process-wide first-cancellation hook. It runs exactly
-    once per token, on the domain that wins the cancellation race,
-    {e before} [Cancelled] starts unwinding — so a diagnostic-dump
-    writer registered here still sees every domain's live span stack.
-    Hook exceptions are swallowed. *)
+    once per token, on the domain that claims the token, {e before} the
+    reason is published — and no {!checkpoint} raises before that, so a
+    diagnostic-dump writer registered here sees every domain's live
+    span stack. Hook exceptions are swallowed. *)
 
 (** {1 Ambient token} *)
 
@@ -59,14 +64,12 @@ val set : token option -> unit
 
 val current : unit -> token option
 
-val with_token : token -> (unit -> 'a) -> 'a
-(** Run the thunk with the token installed, restoring the previous
-    ambient token afterwards (also on exceptions). *)
-
 val checkpoint : unit -> unit
 (** The cancellation poll. Bumps this domain's heartbeat counter, then:
-    no ambient token — return; token cancelled — raise {!Cancelled};
-    token deadline passed — cancel it (firing the hook) and raise. *)
+    no ambient token — return; reason published — raise {!Cancelled};
+    token deadline passed — {!cancel} it and raise once the reason is
+    published (a domain that loses the claim keeps running until the
+    claimer's hook has returned). *)
 
 (** {1 Heartbeats}
 

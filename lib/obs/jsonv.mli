@@ -19,8 +19,6 @@ type t =
 val escape : string -> string
 (** JSON string-body escaping (no surrounding quotes). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Compact rendering, no trailing newline. *)
 

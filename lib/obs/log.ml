@@ -42,10 +42,6 @@ let set_sinks l =
   sinks := l;
   recompute ()
 
-let add_sink ?(min_level = Debug) sink =
-  sinks := (min_level, sink) :: !sinks;
-  recompute ()
-
 (* ---------------- per-domain buffers ---------------- *)
 
 module Local = struct

@@ -22,9 +22,6 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
 val level_of_string : string -> level option
 
 type field = string * Jsonv.t
@@ -63,7 +60,6 @@ val ndjson_sink : out_channel -> sink
     [{"ts":…,"level":"info","msg":…,"lane":0,"fields":{…}}]. The caller
     owns the channel (and its closing). *)
 
-val add_sink : ?min_level:level -> sink -> unit
 val set_sinks : (level * sink) list -> unit
 (** Replace all sinks ([(min_level, sink)] pairs). [set_sinks []]
     silences logging. *)

@@ -353,16 +353,6 @@ let find name =
 let counter_value name =
   match find name with Some (Counter_v n) -> n | _ -> 0
 
-let reset_all () =
-  Mutex.protect registry_lock @@ fun () ->
-  Hashtbl.iter
-    (fun _ r ->
-      match r.metric with
-      | C c -> Counter.reset c
-      | G g -> Gauge.reset g
-      | H h -> Histogram.reset h)
-    registry
-
 let pp_table ?(all = false) fmt () =
   let entries = snapshot ~all () in
   Format.pp_open_vbox fmt 0;

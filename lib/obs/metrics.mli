@@ -15,7 +15,7 @@
     with zero values until first touched.
 
     {b Labels.} A metric may be registered with a label set
-    ({!counter_with}, {!gauge_with}, {!histogram_with}); series sharing a
+    ({!counter_with}, {!histogram_with}); series sharing a
     family name but differing in labels are distinct cells grouped under
     one family in the OpenMetrics export — the serving layer's
     per-endpoint RED metrics. Keep label cardinality bounded (endpoints,
@@ -26,11 +26,6 @@ type exemplar = { ex_value : float; ex_trace_id : string; ex_ts : float }
     request's {!Context.trace_id}, and the wall-clock instant. The
     OpenMetrics export attaches it to the bucket the value landed in, so
     a scraper can jump from a slow bucket straight to the trace. *)
-
-val default_buckets : float array
-(** Cumulative-bucket upper bounds (seconds) used when a histogram is
-    created without explicit buckets: 0.5ms … 10s, roughly
-    logarithmic. *)
 
 module Counter : sig
   type t
@@ -65,9 +60,9 @@ module Histogram : sig
   (** [cap] (default 8192) bounds the stored sample window: beyond it, new
       observations overwrite the oldest slots round-robin, while [count],
       [sum], [max_value] and the bucket counts stay exact over the full
-      stream. [buckets] (default {!default_buckets}) are the explicit
-      cumulative-bucket upper bounds; strictly increasing, +Inf implied
-      last. *)
+      stream. [buckets] (default: 0.5ms … 10s in seconds, roughly
+      logarithmic) are the explicit cumulative-bucket upper bounds;
+      strictly increasing, +Inf implied last. *)
 
   val observe : ?trace_id:string -> t -> float -> unit
   (** Record an observation. With [trace_id], the bucket the value lands
@@ -112,7 +107,6 @@ val counter_with : string -> (string * string) list -> Counter.t
     [name] with exactly [labels] (order-insensitive; they are sorted).
     The series appears in {!snapshot} as [name{k="v",…}]. *)
 
-val gauge_with : string -> (string * string) list -> Gauge.t
 val histogram_with : ?buckets:float array -> string -> (string * string) list -> Histogram.t
 
 type bucket = { le : float; cumulative : int; exemplar : exemplar option }
@@ -145,9 +139,6 @@ val find : string -> value option
 
 val counter_value : string -> int
 (** Value of a registered counter; [0] when absent (or not a counter). *)
-
-val reset_all : unit -> unit
-(** Zero every registered metric (standalone counters are untouched). *)
 
 (** {1 Per-domain delta buffers}
 

@@ -22,10 +22,6 @@ type entry = {
       (** the request's completed span tree, from {!Trace.take_events} *)
 }
 
-val default_bounds : float array
-(** Latency bucket upper bounds in seconds: 1ms, 10ms, 100ms, 1s
-    (five buckets including the overflow). *)
-
 val configure : ?bounds:float array -> ?per_bucket:int -> unit -> unit
 (** Replace bucket bounds and/or per-ring capacity (default 16) —
     drops all recorded entries. *)
@@ -41,8 +37,6 @@ type bucket_view = {
 val snapshot : unit -> (string * bucket_view list * bucket_view) list
 (** Per method name (sorted): latency buckets in ascending-bound order,
     then the error ring. *)
-
-val bucket_labels : unit -> string list
 
 val to_json : unit -> Jsonv.t
 (** The whole page:

@@ -64,8 +64,6 @@ let of_graph ~add ~mul (g : ('t, 'p) Semantics.graph) =
   Tpan_obs.Trace.add_attr_int sp "edges" (List.length edges);
   { nodes; edges }
 
-let out_edges dg n = List.filter (fun e -> e.src = n) dg.edges
-
 let is_absorbing dg = List.exists (fun e -> match e.dst with Absorbed _ -> true | To _ -> false) dg.edges
 
 let deterministic_cycle_of_graph ~add ~zero (g : ('t, 'p) Semantics.graph) =
@@ -140,9 +138,3 @@ let to_dot ~pp_delay ~pp_prob dg =
     dg.edges;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let collapse_result ~add ~mul g =
-  match of_graph ~add ~mul g with
-  | dg -> Ok dg
-  | exception Deterministic_cycle cycle ->
-    Error (Tpan_core.Error.Deterministic_cycle cycle)

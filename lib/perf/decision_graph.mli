@@ -44,7 +44,6 @@ val of_graph :
   ('t, 'p) t
 (** @raise Deterministic_cycle — see above. *)
 
-val out_edges : ('t, 'p) t -> int -> ('t, 'p) dedge list
 val is_absorbing : ('t, 'p) t -> bool
 
 val deterministic_cycle_of_graph :
@@ -68,10 +67,3 @@ val to_dot :
   string
 (** Graphviz rendering: decision nodes as diamonds, edges labelled
     [p / d]. *)
-
-val collapse_result :
-  add:('t -> 't -> 't) ->
-  mul:('p -> 'p -> 'p) ->
-  ('t, 'p) Semantics.graph ->
-  (('t, 'p) t, Tpan_core.Error.t) result
-(** {!of_graph} with [Deterministic_cycle] returned as a value. *)

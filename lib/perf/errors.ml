@@ -8,6 +8,3 @@ let of_exn = function
   | Rates.Unsolvable msg -> Some (Error.Unsolvable msg)
   | Decision_graph.Deterministic_cycle cycle -> Some (Error.Deterministic_cycle cycle)
   | e -> Error.of_exn e
-
-let wrap f = match f () with v -> Ok v | exception e -> (
-  match of_exn e with Some err -> Error err | None -> raise e)

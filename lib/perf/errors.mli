@@ -5,7 +5,3 @@ module Error = Tpan_core.Error
 val of_exn : exn -> Error.t option
 (** Classifies [Rates.Unsolvable] and [Decision_graph.Deterministic_cycle],
     then falls back to {!Tpan_core.Error.of_exn}. [None] for genuine bugs. *)
-
-val wrap : (unit -> 'a) -> ('a, Error.t) result
-(** Run the thunk, catching exactly the exceptions {!of_exn} classifies;
-    anything else propagates. *)

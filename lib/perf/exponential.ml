@@ -139,5 +139,3 @@ let mean_tokens c ~steady p =
     (fun i m -> acc := Q.add !acc (Q.mul steady.(i) (Q.of_int (Marking.tokens m p))))
     c.graph.Reach.states;
   !acc
-
-let build_result ?max_states tpn = Errors.wrap (fun () -> build ?max_states tpn)

@@ -56,7 +56,3 @@ val erlang_expand : stages:int -> Tpan_core.Tpn.t -> Tpan_core.Tpn.t
     conflict sets are expanded; a transition in a non-trivial conflict set
     keeps one stage (its race semantics must be preserved).
     @raise Tpan_core.Tpn.Unsupported on symbolic nets. *)
-
-val build_result : ?max_states:int -> Tpan_core.Tpn.t -> (t, Tpan_core.Error.t) result
-(** {!build} with its failure modes ([Unsupported], [State_limit]) returned
-    as values. *)

@@ -24,15 +24,6 @@ let throughput_of_transition (res : _ Rates.result) ~by t =
   in
   field.Rates.div num res.Rates.total_weight
 
-let throughput_of_edges (res : _ Rates.result) pred =
-  let field = res.Rates.field in
-  let num =
-    List.fold_left
-      (fun acc (re : _ Rates.rated_edge) -> if pred re.edge then field.Rates.add acc re.rate else acc)
-      field.Rates.zero res.Rates.edge_rate
-  in
-  field.Rates.div num res.Rates.total_weight
-
 let edge_time_share (res : _ Rates.result) pred =
   let field = res.Rates.field in
   let num =

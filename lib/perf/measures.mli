@@ -12,11 +12,6 @@ val throughput_of_transition :
     [Σ_{e ∋ t} r_e·count / Σ w]. The paper's protocol throughput is the
     completion rate of the successful-delivery transition. *)
 
-val throughput_of_edges :
-  ('t, 'p, 'f) Rates.result -> (('t, 'p) Decision_graph.dedge -> bool) -> 'f
-(** Traversal rate of the selected decision-graph edges per unit time
-    (the paper's [r₂ / Σᵢ wᵢ]). *)
-
 val edge_time_share :
   ('t, 'p, 'f) Rates.result -> (('t, 'p) Decision_graph.dedge -> bool) -> 'f
 (** Fraction of time spent on the selected edges ([Σ w_e / Σ w] — the

@@ -13,19 +13,6 @@
 
 module Sem = Tpan_core.Semantics
 
-val mean_time_to_event :
-  field:'f Rates.field ->
-  embed_prob:('p -> 'f) ->
-  embed_delay:('t -> 'f) ->
-  ('t, 'p) Sem.graph ->
-  start:int ->
-  event:(('t, 'p) Sem.edge -> bool) ->
-  'f option
-(** [None] when, with positive probability, the event never occurs from
-    [start] (the expectation is infinite), or when [start] has no outgoing
-    path at all. The event is considered to occur at the {e end} of a
-    matching edge, so that edge's full delay is counted. *)
-
 val concrete_latency :
   Tpan_core.Concrete.Graph.graph ->
   ?start:int ->

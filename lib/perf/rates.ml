@@ -20,11 +20,6 @@ let ratfun_field =
   { zero = Rf.zero; one = Rf.one; is_zero = Rf.is_zero; add = Rf.add; sub = Rf.sub;
     mul = Rf.mul; div = Rf.div; pp = Rf.pp }
 
-let float_field =
-  { zero = 0.; one = 1.; is_zero = (fun x -> Float.abs x < 1e-12); add = ( +. );
-    sub = ( -. ); mul = ( *. ); div = ( /. );
-    pp = (fun fmt x -> Format.fprintf fmt "%g" x) }
-
 type ('t, 'p, 'f) result = {
   dg : ('t, 'p) Decision_graph.t;
   field : 'f field;

@@ -24,7 +24,6 @@ type 'f field = {
 
 val q_field : Tpan_mathkit.Q.t field
 val ratfun_field : Tpan_symbolic.Ratfun.t field
-val float_field : float field
 
 type ('t, 'p, 'f) result = {
   dg : ('t, 'p) Decision_graph.t;

@@ -44,17 +44,28 @@ let parse_axis spec =
         | _ -> fail ()
         | exception Invalid_argument _ -> fail ())))
 
+(* a grid can be arbitrarily large, so generating it polls the request's
+   deadline once per axis value and once per generated tuple *)
 let axis_values a =
   if a.steps <= 1 then [ a.lo ]
   else
     let span = Q.sub a.hi a.lo in
     let denom = Q.of_int (a.steps - 1) in
-    List.init a.steps (fun k -> Q.add a.lo (Q.div (Q.mul span (Q.of_int k)) denom))
+    List.init a.steps (fun k ->
+        Tpan_obs.Cancel.checkpoint ();
+        Q.add a.lo (Q.div (Q.mul span (Q.of_int k)) denom))
 
 let points axes =
   List.fold_right
     (fun a acc ->
-      List.concat_map (fun v -> List.map (fun tail -> (a.name, v) :: tail) acc) (axis_values a))
+      List.concat_map
+        (fun v ->
+          List.map
+            (fun tail ->
+              Tpan_obs.Cancel.checkpoint ();
+              (a.name, v) :: tail)
+            acc)
+        (axis_values a))
     axes [ [] ]
 
 type row = {
@@ -79,7 +90,14 @@ let classify e =
 
 let qs q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
+(* A cancelled point aborts the whole sweep: the deadline belongs to the
+   request, not to the point, so it must not become a row error. *)
 let rows_of_results pts results =
+  List.iter
+    (function
+      | Error { Tpan_par.Pool.exn = Tpan_obs.Cancel.Cancelled _ as e; _ } -> raise e
+      | _ -> ())
+    results;
   List.map2
     (fun point r ->
       match r with
@@ -98,9 +116,11 @@ let rows_of_results pts results =
         { point; values = []; error = Some err })
     pts results
 
-(* every grid point traces as its own span (in its worker's lane when the
-   pool fans out), labelled with its row-major index *)
+(* every grid point polls the deadline, then traces as its own span (in
+   its worker's lane when the pool fans out), labelled with its row-major
+   index *)
 let spanned name eval (i, point) =
+  Tpan_obs.Cancel.checkpoint ();
   Tpan_obs.Trace.with_span name (fun sp ->
       Tpan_obs.Trace.add_attr_int sp "index" i;
       eval point)

@@ -25,8 +25,6 @@ val parse_axis : string -> (axis, string) result
 (** Parse a ["NAME=LO..HI:STEPS"] grid spec (e.g. ["timeout=80..200:8"]).
     Values take the same decimal/rational syntax as [-p] bindings. *)
 
-val axis_values : axis -> Q.t list
-
 val points : axis list -> (string * Q.t) list list
 (** Row-major cartesian product: the last axis varies fastest. Each point
     is an association list in axis order. *)
@@ -51,7 +49,9 @@ val over_tpn :
     [thr(t)] for each transition in [throughputs] plus [mean_cycle_time].
     Failures ([make] rejecting a parameter, state-budget overflow,
     unsolvable rates, …) are captured per row, so one bad point doesn't
-    lose the grid. *)
+    lose the grid. A cancellation is not a point's failure: grid
+    generation and every point poll {!Tpan_obs.Cancel.checkpoint}, and
+    [Cancelled] aborts the whole sweep. *)
 
 val over_expr :
   ?jobs:int ->
@@ -61,7 +61,8 @@ val over_expr :
   t
 (** For each grid point, evaluate each named closed-form measure at
     [bindings ∪ point] (point wins on clashes). Axis names are variable
-    display names (["E(t3)"], ["f(t4)"], …). *)
+    display names (["E(t3)"], ["f(t4)"], …). Errors and cancellation as
+    in {!over_tpn}. *)
 
 val to_csv : t -> string
 (** Header then one line per row: point coordinates, then columns (empty

@@ -3,14 +3,6 @@
     free-choice nets; marked graphs have the cycle-time bound used by the
     pipeline analysis). *)
 
-val is_state_machine : Net.t -> bool
-(** Every transition has exactly one input and one output place: all
-    conflict, no synchronization. *)
-
-val is_marked_graph : Net.t -> bool
-(** Every place has exactly one producer and one consumer: all
-    synchronization, no conflict. *)
-
 val is_free_choice : Net.t -> bool
 (** For any two transitions sharing an input place, the input bags are
     equal — a conflict is always a "free" choice, never influenced by other

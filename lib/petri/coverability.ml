@@ -93,15 +93,3 @@ let unbounded_places tr =
   List.filter (fun p -> place_bound tr p = None) (Net.places tr.net)
 
 let coverable tr target = Array.exists (fun m -> geq m target) tr.nodes
-
-let pp_omega_marking net fmt m =
-  let entries = List.filter (fun p -> m.(p) > 0) (Net.places net) in
-  Format.pp_print_string fmt "{";
-  List.iteri
-    (fun i p ->
-      if i > 0 then Format.pp_print_string fmt ", ";
-      if m.(p) = omega then Format.fprintf fmt "w*%s" (Net.place_name net p)
-      else if m.(p) = 1 then Format.pp_print_string fmt (Net.place_name net p)
-      else Format.fprintf fmt "%d*%s" m.(p) (Net.place_name net p))
-    entries;
-  Format.pp_print_string fmt "}"

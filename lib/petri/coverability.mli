@@ -9,8 +9,6 @@
 type omega_marking = int array
 (** Token counts with [omega] (unbounded) encoded as [max_int]. *)
 
-val omega : int
-
 type tree = {
   net : Net.t;
   nodes : omega_marking array;
@@ -34,5 +32,3 @@ val unbounded_places : tree -> Net.place list
 
 val coverable : tree -> int array -> bool
 (** Can a marking ≥ the given vector be covered? *)
-
-val pp_omega_marking : Net.t -> Format.formatter -> omega_marking -> unit

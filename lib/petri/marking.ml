@@ -23,8 +23,6 @@ let produce net (m : t) t =
 
 let fire net m t = produce net (consume net m t) t
 
-let is_dead net m = enabled_transitions net m = []
-
 let total (m : t) = Array.fold_left ( + ) 0 m
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b

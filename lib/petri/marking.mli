@@ -24,9 +24,6 @@ val produce : Net.t -> t -> Net.trans -> t
 val fire : Net.t -> t -> Net.trans -> t
 (** Atomic fire: [produce] after [consume] — classic untimed semantics. *)
 
-val is_dead : Net.t -> t -> bool
-(** No transition enabled. *)
-
 val total : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -74,11 +74,6 @@ let live_transitions g =
   Array.iter (fun l -> List.iter (fun (t, _) -> seen.(t) <- true) l) g.edges;
   List.filter (fun t -> seen.(t)) (Net.transitions g.net)
 
-let find_marking g m =
-  let n = num_states g in
-  let rec go i = if i >= n then None else if Marking.equal g.states.(i) m then Some i else go (i + 1) in
-  go 0
-
 let path_to g pred =
   let n = num_states g in
   let prev = Array.make n None in
@@ -107,8 +102,3 @@ let path_to g pred =
       match prev.(j) with None -> acc | Some (i, t) -> build (t :: acc) i
     in
     Some (build [] j)
-
-let explore_result ?max_states ?on_progress net =
-  match explore ?max_states ?on_progress net with
-  | g -> Ok g
-  | exception State_limit n -> Error (`State_limit n)

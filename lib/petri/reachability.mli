@@ -35,16 +35,6 @@ val is_safe : graph -> bool
 val live_transitions : graph -> Net.trans list
 (** Transitions that are enabled in at least one reachable marking (L1-live). *)
 
-val find_marking : graph -> Marking.t -> int option
-
 val path_to : graph -> (Marking.t -> bool) -> Net.trans list option
 (** A shortest firing sequence from the initial marking to a marking
     satisfying the predicate. *)
-
-val explore_result :
-  ?max_states:int -> ?on_progress:(int -> unit) -> Net.t ->
-  (graph, [ `State_limit of int ]) result
-(** Like {!explore} but returns the budget overflow as a value instead of
-    raising. (The unified error type lives one layer up, in
-    [Tpan_core.Error]; this polymorphic variant keeps the petri layer
-    self-contained.) *)

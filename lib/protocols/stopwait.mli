@@ -61,20 +61,8 @@ val symbolic_constraints : Tpan_symbolic.Constraints.t
 
 (** Transition names, for use with measures: *)
 
-val t_prepare : string  (** t1 *)
-
 val t_send : string  (** t2 *)
-
-val t_timeout : string  (** t3 *)
-
-val t_lose_pkt : string  (** t4 *)
-
-val t_deliver_pkt : string  (** t5 *)
 
 val t_receive : string  (** t6 *)
 
 val t_process_ack : string  (** t7 *)
-
-val t_deliver_ack : string  (** t8 *)
-
-val t_lose_ack : string  (** t9 *)

@@ -34,5 +34,3 @@ val symbolic : stations:int -> Tpan_core.Tpn.t
 
 val use : int -> string
 (** Transition name [use_i]. *)
-
-val skip : int -> string

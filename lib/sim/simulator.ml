@@ -375,17 +375,6 @@ let replicate ?(seed = 42) ?warmup ~runs ~horizon tpn output =
     runs;
   }
 
-let run_result ?seed ?warmup ~horizon tpn =
-  match run ?seed ?warmup ~horizon tpn with
-  | st -> Ok st
-  | exception e -> (
-    match Tpan_core.Error.of_exn e with
-    | Some err -> Error err
-    | None -> (
-      match e with
-      | Invalid_argument msg -> Error (Tpan_core.Error.Invalid_input msg)
-      | e -> raise e))
-
 let run_many ?(seed = 42) ?warmup ?jobs ~runs ~horizon tpn output =
   if runs <= 0 then invalid_arg "Simulator.run_many: runs must be positive";
   (* Seeds are drawn from the master stream sequentially — the same

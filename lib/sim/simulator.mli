@@ -48,10 +48,6 @@ val replicate :
 (** Independent replications of an output functional (e.g.
     [fun s -> throughput s t]). *)
 
-val run_result :
-  ?seed:int -> ?warmup:Q.t -> horizon:Q.t -> Tpn.t -> (stats, Tpan_core.Error.t) result
-(** {!run} with its failure modes returned as values. *)
-
 val run_many :
   ?seed:int -> ?warmup:Q.t -> ?jobs:int -> runs:int -> horizon:Q.t ->
   Tpn.t -> (stats -> float) -> estimate

@@ -11,10 +11,8 @@ module Running : sig
   val variance : t -> float
   (** Sample (n-1) variance; 0 for fewer than two observations. *)
 
-  val stddev : t -> float
-
   val std_error : t -> float
-  (** [stddev / sqrt n]. *)
+  (** [sqrt variance / sqrt n]. *)
 
   val ci95 : t -> float * float
   (** Normal-approximation 95% confidence interval for the mean. *)

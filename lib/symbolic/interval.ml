@@ -55,12 +55,6 @@ let pp fmt iv =
   else
     Format.fprintf fmt "[%a, %a]" (Q.pp_decimal ~digits:6) iv.lo (Q.pp_decimal ~digits:6) iv.hi
 
-let eval_linexpr env e =
-  List.fold_left
-    (fun acc (v, c) -> add acc (mul (point c) (env v)))
-    (point (Linexpr.constant e))
-    (Linexpr.terms e)
-
 (* Monomial-by-monomial interval evaluation; conservative when a variable
    occurs in several terms (classic interval dependency). *)
 let eval_poly env p =

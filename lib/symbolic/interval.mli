@@ -38,8 +38,5 @@ val join : t -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-val eval_poly : (Var.t -> t) -> Poly.t -> t
-val eval_linexpr : (Var.t -> t) -> Linexpr.t -> t
-
 val eval_ratfun : (Var.t -> t) -> Ratfun.t -> t
 (** @raise Division_by_zero if the denominator's interval contains 0. *)

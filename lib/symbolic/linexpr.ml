@@ -37,6 +37,5 @@ let compare = L.compare
 let hash = L.hash
 
 let to_form e = e
-let of_form f = f
 
 let pp fmt e = L.pp ~name:(fun i -> Var.name (Var.of_id i)) fmt e

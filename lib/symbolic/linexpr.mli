@@ -38,6 +38,5 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val to_form : t -> Tpan_mathkit.Fourier_motzkin.Linform.t
-val of_form : Tpan_mathkit.Fourier_motzkin.Linform.t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -202,8 +202,6 @@ let derivative v (p : t) =
 
 let leading p = MMap.max_binding_opt p.terms
 
-let leading_coeff p = match leading p with None -> Q.zero | Some (_, c) -> c
-
 let monic_factor p =
   match leading p with
   | None -> (Q.one, p)

@@ -54,10 +54,6 @@ val divide_exact : t -> t -> t option
 (** [divide_exact p d] is [Some q] iff [p = q·d] exactly.
     @raise Division_by_zero if [d] is zero. *)
 
-val leading_coeff : t -> Tpan_mathkit.Q.t
-(** Coefficient of the deglex-leading monomial; [0] for the zero
-    polynomial. *)
-
 val monic_factor : t -> Tpan_mathkit.Q.t * t
 (** [monic_factor p = (c, m)] with [p = c·m] and [m]'s leading coefficient 1
     (for non-zero [p]). *)

@@ -1,7 +1,6 @@
 module Q = Tpan_mathkit.Q
 module Tpn = Tpan_core.Tpn
 module Net = Tpan_petri.Net
-module CG = Tpan_core.Concrete
 module SG = Tpan_core.Symbolic
 module M = Tpan_perf.Measures
 module Sweep = Tpan_perf.Sweep
@@ -10,8 +9,6 @@ module Rf = Tpan_symbolic.Ratfun
 module Cache = Tpan_cache.Cache
 module Codec = Tpan_cache.Codec
 module J = Tpan_obs.Jsonv
-
-let artifact_schema = 2
 
 (* ----- cache instances -----
 
@@ -36,12 +33,10 @@ type sim_summary = {
 }
 
 type caches = {
-  trg : CG.Graph.graph Cache.t;
   symbolic : (SG.Graph.graph * M.Symbolic.result) Cache.t;
   closed : Rf.t Cache.t;
   eval_q : Q.t Cache.t;
   report : Analysis.report Cache.t;
-  sim : sim_summary Cache.t;
 }
 
 let caches_cell : caches option ref = ref None
@@ -105,12 +100,10 @@ let make_caches () =
     Cache.create ~name ~budget_bytes ?persist:persist_dir ~encode ~decode ()
   in
   {
-    trg = persisted "trg" Codec.trg_to_json Codec.trg_of_json;
     symbolic = mem "symbolic";
     closed = persisted "closed_form" Codec.ratfun_to_json Codec.ratfun_of_json;
     eval_q = persisted "eval" Codec.q_to_json Codec.q_of_json;
     report = persisted "report" report_to_json report_of_json;
-    sim = mem "sim";
   }
 
 let caches () =
@@ -154,12 +147,10 @@ let cache_stats () =
       | None -> []
       | Some c ->
         [
-          (Cache.name c.trg, Cache.stats c.trg);
           (Cache.name c.symbolic, Cache.stats c.symbolic);
           (Cache.name c.closed, Cache.stats c.closed);
           (Cache.name c.eval_q, Cache.stats c.eval_q);
           (Cache.name c.report, Cache.stats c.report);
-          (Cache.name c.sim, Cache.stats c.sim);
         ])
 
 let reset_caches () =
@@ -170,12 +161,10 @@ let reset_caches () =
       match !caches_cell with
       | None -> ()
       | Some c ->
-        Cache.clear c.trg;
         Cache.clear c.symbolic;
         Cache.clear c.closed;
         Cache.clear c.eval_q;
-        Cache.clear c.report;
-        Cache.clear c.sim)
+        Cache.clear c.report)
 
 (* ----- cached pure functions -----
 
@@ -196,11 +185,6 @@ let cached cache key build =
   | exception Build_error e -> Error e
 
 let ms_key = function None -> "-" | Some n -> string_of_int n
-
-let concrete_trg ?max_states canonical =
-  let key = Printf.sprintf "%s|ms=%s" (Canonical.hash canonical) (ms_key max_states) in
-  cached (caches ()).trg key (fun () ->
-      Error.guard (fun () -> CG.build ?max_states (Canonical.tpn canonical)))
 
 let symbolic ?max_states canonical =
   let key = Printf.sprintf "%s|ms=%s" (Canonical.hash canonical) (ms_key max_states) in
@@ -285,53 +269,47 @@ let analysis ?max_states ?(throughputs = []) canonical =
          Analysis.compute ?max_states ~throughputs (Canonical.tpn canonical))
 
 let simulate ?(seed = 42) ?(runs = 1) ~horizon ~transitions canonical =
-  let key =
-    Printf.sprintf "%s|seed=%d|runs=%d|h=%s|thr=%s" (Canonical.hash canonical) seed runs
-      (Q.to_string horizon)
-      (String.concat "," transitions)
-  in
-  cached (caches ()).sim key (fun () ->
-      Error.guard (fun () ->
-          let tpn = Canonical.tpn canonical in
-          let net = Tpn.net tpn in
-          let throughputs =
-            List.map
-              (fun name ->
-                let t =
-                  try Net.trans_of_name net name
-                  with Not_found ->
-                    invalid_arg (Printf.sprintf "unknown transition %S" name)
-                in
-                if runs <= 1 then begin
-                  let stats = Sim.run ~seed ~horizon tpn in
-                  ( name,
-                    Single
-                      {
-                        mean = Sim.throughput stats t;
-                        deadlocked = stats.Sim.deadlocked;
-                      } )
-                end
-                else
-                  let est =
-                    Sim.run_many ~seed ~runs ~horizon tpn (fun s -> Sim.throughput s t)
-                  in
-                  ( name,
-                    Estimate
-                      {
-                        mean = est.Sim.mean;
-                        std_error = est.Sim.std_error;
-                        ci95 = est.Sim.ci95;
-                        runs = est.Sim.runs;
-                      } ))
-              transitions
-          in
-          {
-            net_hash = Canonical.hash canonical;
-            seed;
-            runs = max 1 runs;
-            horizon;
-            throughputs;
-          }))
+  Error.guard (fun () ->
+      let tpn = Canonical.tpn canonical in
+      let net = Tpn.net tpn in
+      let throughputs =
+        List.map
+          (fun name ->
+            let t =
+              try Net.trans_of_name net name
+              with Not_found ->
+                invalid_arg (Printf.sprintf "unknown transition %S" name)
+            in
+            if runs <= 1 then begin
+              let stats = Sim.run ~seed ~horizon tpn in
+              ( name,
+                Single
+                  {
+                    mean = Sim.throughput stats t;
+                    deadlocked = stats.Sim.deadlocked;
+                  } )
+            end
+            else
+              let est =
+                Sim.run_many ~seed ~runs ~horizon tpn (fun s -> Sim.throughput s t)
+              in
+              ( name,
+                Estimate
+                  {
+                    mean = est.Sim.mean;
+                    std_error = est.Sim.std_error;
+                    ci95 = est.Sim.ci95;
+                    runs = est.Sim.runs;
+                  } ))
+          transitions
+      in
+      {
+        net_hash = Canonical.hash canonical;
+        seed;
+        runs = max 1 runs;
+        horizon;
+        throughputs;
+      })
 
 let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
@@ -373,9 +351,8 @@ let warm ?max_states names =
           | Ok tpn ->
             let canonical = Canonical.of_tpn tpn in
             if Tpn.is_concrete tpn then
-              match analysis ?max_states ~throughputs:m.Models.deliveries canonical with
-              | Error e -> Error e
-              | Ok _ -> Result.map ignore (concrete_trg ?max_states canonical)
+              Result.map ignore
+                (analysis ?max_states ~throughputs:m.Models.deliveries canonical)
             else
               List.fold_left
                 (fun acc transition ->

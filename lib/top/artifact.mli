@@ -1,12 +1,11 @@
 (** Analysis artifacts as pure cached functions of canonical nets.
 
-    This is the redesigned facade the ROADMAP's [tpan serve] item asks
-    for: every analysis product — the concrete timed reachability
-    graph, the symbolic graph with its solved rates, closed-form
-    throughput expressions, full analysis reports, simulation
-    summaries — is an {e artifact}: a schema-versioned value computed
-    by a pure function of a {!Canonical} net (plus the artifact's own
-    parameters), memoized in a keyed {!Tpan_cache.Cache}.
+    Every analysis product a request reads back — the symbolic graph
+    with its solved rates, closed-form throughput expressions, their
+    point evaluations and full concrete analysis reports — is an
+    {e artifact}: a value computed by a pure function of a {!Canonical}
+    net (plus the artifact's own parameters), memoized in a keyed
+    {!Tpan_cache.Cache}.
 
     Identical nets therefore hit the symbolic build {e exactly once}
     per process (and, with persistence configured, once per cache
@@ -14,28 +13,24 @@
     cost one TRG construction plus a million cheap expression
     evaluations — the paper's whole argument, turned into an API.
 
-    Artifact kinds are open-ended by design: a future LP bound engine
-    adds a cache and a function here without touching the server or
-    the CLI. Errors are never cached (a deadline abort must not poison
-    the cache for later, better-funded requests).
+    Every cached kind has a reader: a product computed once per
+    process (a simulation summary) is computed directly, uncached.
+    Errors are never cached (a deadline abort must not poison the cache
+    for later, better-funded requests).
 
     The CLI subcommands and [tpan serve] share these functions, so
     both front ends serve byte-identical results from one code path.
 
     Cache metrics land in the {!Tpan_obs.Metrics} registry under
-    [cache.trg.*], [cache.symbolic.*], [cache.closed_form.*],
-    [cache.report.*], [cache.sim.*]. *)
+    [cache.symbolic.*], [cache.closed_form.*], [cache.eval.*] and
+    [cache.report.*]. *)
 
 module Q = Tpan_mathkit.Q
-
-val artifact_schema : int
-(** Version stamp carried by every artifact's JSON rendering. *)
 
 val configure : ?budget_bytes:int -> ?persist_dir:string -> unit -> unit
 (** Set the per-cache byte budget (default 128 MiB) and the persistence
     directory (e.g. [".tpan/cache"]) for the artifact kinds with a
-    codec — closed forms, point evaluations, concrete TRGs and analysis
-    reports. Omitting [persist_dir] turns persistence off (the setting
+    codec — closed forms, point evaluations and analysis reports. Omitting [persist_dir] turns persistence off (the setting
     is replaced, not merged). Resets existing caches — call at startup,
     before the first artifact request. *)
 
@@ -44,19 +39,12 @@ val reset_caches : unit -> unit
     harness uses this to measure genuinely-uncached builds. *)
 
 val cache_stats : unit -> (string * Tpan_cache.Cache.stats) list
-(** Live [(kind, stats)] per artifact cache — ["trg"], ["symbolic"],
-    ["closed_form"], ["eval"], ["report"], ["sim"] — for a server's
+(** Live [(kind, stats)] per artifact cache — ["symbolic"],
+    ["closed_form"], ["eval"], ["report"] — for a server's
     [/statusz] page. Empty if no artifact has been requested yet (the
     caches are created lazily and this never forces them). *)
 
 (** {1 Graph artifacts} *)
-
-val concrete_trg :
-  ?max_states:int ->
-  Canonical.t ->
-  (Tpan_core.Concrete.Graph.graph, Error.t) result
-(** The concrete timed reachability graph, cached per
-    [(hash, max_states)]. *)
 
 val symbolic :
   ?max_states:int ->
@@ -136,11 +124,10 @@ val simulate :
   transitions:string list ->
   Canonical.t ->
   (sim_summary, Error.t) result
-(** Monte-Carlo summary, cached per
-    [(hash, seed, runs, horizon, transitions)] — simulation is
-    deterministic in the seed, so the summary is a pure function of
-    its key. Replications fan out over the worker pool exactly as
-    before. *)
+(** Monte-Carlo summary, computed on every call (uncached: the one
+    caller, [tpan simulate], asks once per process). Simulation is
+    deterministic in the seed; replications fan out over the worker
+    pool. *)
 
 val sim_summary_fields : sim_summary -> (string * Tpan_obs.Jsonv.t) list
 (** Envelope-free payload fields (the CLI and server wrap them). *)
@@ -148,11 +135,12 @@ val sim_summary_fields : sim_summary -> (string * Tpan_obs.Jsonv.t) list
 (** {1 Warm-start} *)
 
 val warm : ?max_states:int -> string list -> (string * (unit, Error.t) result) list
-(** [warm names] pre-builds the expensive artifacts for each builtin
-    model named: the full analysis report and concrete TRG for concrete
-    models, the closed-form throughput of every default delivery for
-    symbolic ones. Served traffic then starts on a hot cache — and with
-    a persistence directory configured, the first process to warm also
+(** [warm names] pre-builds the artifacts requests read for each
+    builtin model named: for a concrete model, its analysis report over
+    its default deliveries (one concrete TRG build); for a symbolic one,
+    the closed-form throughput of every default delivery (one symbolic
+    build). Served traffic then starts on a hot cache — and with a
+    persistence directory configured, the first process to warm also
     seeds the cache files every later process replays. Returns one
     [(name, result)] per requested model; unknown names and build
     failures report as [Error] without aborting the rest. *)

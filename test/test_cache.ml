@@ -8,7 +8,6 @@ module Q = Tpan_mathkit.Q
 module Rf = Tpan_symbolic.Ratfun
 module SG = Tpan_core.Symbolic
 module M = Tpan_perf.Measures
-module J = Tpan_obs.Jsonv
 
 (* Metrics counters are find-or-create by name and process-global, so
    every test uses a cache name of its own for clean counts. *)
@@ -150,76 +149,6 @@ let canonical name =
   | Ok tpn -> Tpan.Canonical.of_tpn tpn
   | Error e -> Alcotest.failf "load %s: %s" name (Tpan.Error.to_string e)
 
-(* ----- the concrete-TRG codec ----- *)
-
-let test_trg_codec_round_trip () =
-  Tpan.Artifact.reset_caches ();
-  let g =
-    match Tpan.Artifact.concrete_trg (canonical "stopwait") with
-    | Ok g -> g
-    | Error e -> Alcotest.failf "concrete_trg: %s" (Tpan.Error.to_string e)
-  in
-  let doc = Codec.trg_to_json g in
-  match Codec.trg_of_json doc with
-  | None -> Alcotest.fail "concrete TRG does not decode"
-  | Some back ->
-    Alcotest.(check int) "same state count"
-      (Array.length g.Tpan_core.Semantics.states)
-      (Array.length back.Tpan_core.Semantics.states);
-    (* the decoded graph re-encodes byte-identically: states, edges,
-       markings, delays, probabilities and firing sets all survived *)
-    Alcotest.(check string) "re-encoding is a fixed point" (J.to_string doc)
-      (J.to_string (Codec.trg_to_json back))
-
-let test_trg_codec_rejects_stale_lines () =
-  Tpan.Artifact.reset_caches ();
-  let doc =
-    match Tpan.Artifact.concrete_trg (canonical "stopwait") with
-    | Ok g -> Codec.trg_to_json g
-    | Error e -> Alcotest.failf "concrete_trg: %s" (Tpan.Error.to_string e)
-  in
-  let fields = match doc with J.Obj fs -> fs | _ -> Alcotest.fail "not an object" in
-  let replace k v = J.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) fields) in
-  let drop k = J.Obj (List.filter (fun (k', _) -> k' <> k) fields) in
-  (* a cache line written against a different net must not decode into
-     a graph whose indices silently point at the wrong transitions *)
-  let foreign_src =
-    match Tpan.Analysis.load (Tpan.Analysis.Builtin "handshake") with
-    | Ok tpn -> Tpan_dsl.Printer.to_string tpn
-    | Error e -> Alcotest.failf "load handshake: %s" (Tpan.Error.to_string e)
-  in
-  Alcotest.(check bool) "foreign net source rejected" true
-    (Codec.trg_of_json (replace "net" (J.Str foreign_src)) = None);
-  Alcotest.(check bool) "missing states rejected" true
-    (Codec.trg_of_json (drop "states") = None);
-  Alcotest.(check bool) "empty states rejected" true
-    (Codec.trg_of_json (replace "states" (J.List [])) = None);
-  Alcotest.(check bool) "garbage rejected" true
-    (Codec.trg_of_json (J.Str "nonsense") = None);
-  (* per-state array shapes are validated against the reparsed net: a
-     marking or clock vector of the wrong length must fail the decode
-     (and force a rebuild), not surface as out-of-bounds later *)
-  let truncate_in_first_state field = function
-    | J.List (J.Obj st :: rest) ->
-      J.List
-        (J.Obj
-           (List.map
-              (fun (k, v) ->
-                match (k = field, v) with
-                | true, J.List (_ :: tl) -> (k, J.List tl)
-                | _ -> (k, v))
-              st)
-        :: rest)
-    | v -> v
-  in
-  let states = List.assoc "states" fields in
-  Alcotest.(check bool) "truncated marking rejected" true
-    (Codec.trg_of_json (replace "states" (truncate_in_first_state "m" states))
-    = None);
-  Alcotest.(check bool) "truncated clock vector rejected" true
-    (Codec.trg_of_json (replace "states" (truncate_in_first_state "rft" states))
-    = None)
-
 (* ----- warm-start: persist everything, replay everything ----- *)
 
 let test_warm_start_replays_all_kinds () =
@@ -230,7 +159,13 @@ let test_warm_start_replays_all_kinds () =
     | Some m -> m.Tpan.Models.deliveries
     | None -> Alcotest.failf "no builtin %s" name
   in
-  let warmed = Tpan.Artifact.warm [ "stopwait"; "stopwait-sym"; "no-such-net" ] in
+  (* a concrete model warms its analysis report, whose derivation is
+     the only concrete TRG build: stop-and-wait has 18 states *)
+  let interned () = Tpan_obs.Metrics.counter_value "core.semantics.states_interned" in
+  let before_warm = interned () in
+  let warmed = Tpan.Artifact.warm [ "stopwait" ] in
+  Alcotest.(check int) "one concrete TRG build" 18 (interned () - before_warm);
+  let warmed = warmed @ Tpan.Artifact.warm [ "stopwait-sym"; "no-such-net" ] in
   List.iter
     (fun (name, r) ->
       match (name, r) with
@@ -244,21 +179,20 @@ let test_warm_start_replays_all_kinds () =
   (match Tpan.Artifact.eval sym ~transition:"t7" ~point with
   | Ok v -> Alcotest.(check string) "warm eval value" "1805/486672" (Q.to_string v)
   | Error e -> Alcotest.failf "eval: %s" (Tpan.Error.to_string e));
-  let kinds = [ "trg"; "report"; "closed_form"; "eval" ] in
+  let kinds = [ "report"; "closed_form"; "eval" ] in
   List.iter
     (fun k ->
       let f = Filename.concat dir (k ^ ".ndjson") in
       Alcotest.(check bool) (k ^ " cache file written") true
         (Sys.file_exists f && (Unix.stat f).Unix.st_size > 0))
     kinds;
+  Alcotest.(check bool) "no trg cache file" false
+    (Sys.file_exists (Filename.concat dir "trg.ndjson"));
   let misses k = Tpan_obs.Metrics.counter_value (Printf.sprintf "cache.%s.misses" k) in
   let before = List.map (fun k -> (k, misses k)) kinds in
   (* "restart": configure drops every cache, the next artifact call
      replays the NDJSON — and every kind must answer without a rebuild *)
   Tpan.Artifact.configure ~persist_dir:dir ();
-  (match Tpan.Artifact.concrete_trg (canonical "stopwait") with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "replayed trg: %s" (Tpan.Error.to_string e));
   (match
      Tpan.Artifact.analysis ~throughputs:(deliveries "stopwait") (canonical "stopwait")
    with
@@ -350,10 +284,6 @@ let suite =
       Alcotest.test_case "errors are never cached" `Quick test_errors_not_cached;
       Alcotest.test_case "expression codec round-trip" `Quick test_codec_round_trip;
       Alcotest.test_case "persistence round-trip" `Quick test_persistence_round_trip;
-      Alcotest.test_case "concrete-TRG codec round-trip" `Quick
-        test_trg_codec_round_trip;
-      Alcotest.test_case "TRG codec rejects stale lines" `Quick
-        test_trg_codec_rejects_stale_lines;
       Alcotest.test_case "warm-start replays every artifact kind" `Quick
         test_warm_start_replays_all_kinds;
       Alcotest.test_case "-j4 workers share one artifact" `Quick

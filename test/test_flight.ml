@@ -73,6 +73,45 @@ let test_on_cancel_hook_runs_once () =
       Alcotest.(check bool) "hook exceptions are swallowed" true
         (Cancel.cancelled t2 <> None))
 
+(* The domain that claims a token runs the hook before it publishes the
+   reason, so a slow hook (a dump writer) still sees the cancelled
+   domain inside its span: no checkpoint raises until the hook is done.
+   Here the claimer is another domain, as when the watchdog fires. *)
+let test_hook_sees_live_spans () =
+  let t = Cancel.create () in
+  let inside = Atomic.make false in
+  let seen = ref [] in
+  Cancel.set_on_cancel
+    (Some
+       (fun _ ->
+         Unix.sleepf 0.05;
+         seen := Tpan_obs.Trace.span_stacks ()));
+  Fun.protect
+    ~finally:(fun () -> Cancel.set_on_cancel None)
+    (fun () ->
+      let worker =
+        Domain.spawn (fun () ->
+            Tpan_obs.Trace.set_lane 1;
+            Cancel.set (Some t);
+            Tpan_obs.Trace.with_span "work" (fun _ ->
+                Atomic.set inside true;
+                let t0 = Unix.gettimeofday () in
+                match
+                  while Unix.gettimeofday () -. t0 < 10. do
+                    Cancel.checkpoint ()
+                  done
+                with
+                | () -> false
+                | exception Cancel.Cancelled _ -> true))
+      in
+      while not (Atomic.get inside) do
+        Domain.cpu_relax ()
+      done;
+      Cancel.cancel t (Cancel.Deadline 0.05);
+      Alcotest.(check bool) "the spinning domain unwound" true (Domain.join worker);
+      Alcotest.(check bool) "the hook saw lane 1 inside its span" true
+        (List.exists (fun (lane, stack) -> lane = 1 && List.mem "work" stack) !seen))
+
 let test_pool_propagates_context () =
   let ctx = Context.make ~labels:[ ("req", "42") ] () in
   let ids =
@@ -245,6 +284,8 @@ let suite =
       Alcotest.test_case "cancellation token basics" `Quick test_token_basics;
       Alcotest.test_case "deadline unwinds via checkpoint" `Quick test_deadline_unwinds;
       Alcotest.test_case "on-cancel hook fires once" `Quick test_on_cancel_hook_runs_once;
+      Alcotest.test_case "hook sees the cancelled domain's spans" `Quick
+        test_hook_sees_live_spans;
       Alcotest.test_case "pool propagates request context" `Quick
         test_pool_propagates_context;
       Alcotest.test_case "pool deadline aborts all lanes" `Quick

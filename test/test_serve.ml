@@ -103,16 +103,18 @@ let test_deadline_504 () =
   let r2 = handle "POST" "/analyze" {|{"model":"stopwait"}|} in
   Alcotest.(check int) "same net analyzes fine afterwards" 200 r2.Serve.status
 
-let test_sweep_endpoint () =
-  let body =
+let sweep_body steps =
+  Printf.sprintf
     {|{"model":"stopwait-sym","transitions":["t7"],
-       "axes":["E(t3)=250..1000:4"],
+       "axes":["E(t3)=250..1000:%d"],
        "bindings":{"F(t1)":"1","F(t2)":"1","F(t3)":"1",
          "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
          "F(t8)":"106.7","F(t9)":"106.7",
          "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"}}|}
-  in
-  let r = handle "POST" "/sweep" body in
+    steps
+
+let test_sweep_endpoint () =
+  let r = handle "POST" "/sweep" (sweep_body 4) in
   Alcotest.(check int) "sweep 200" 200 r.Serve.status;
   let doc = parse_body r in
   (match field doc "rows" with
@@ -125,6 +127,19 @@ let test_sweep_endpoint () =
   in
   Alcotest.(check bool) "first grid point carries the exact value" true
     (contains r.Serve.body "1805/486672")
+
+(* The deadline covers the grid, not just the closed form behind it: a
+   huge grid over a cached form must abort as a whole, not answer 200
+   after seconds (or fill its rows with per-point deadline errors). *)
+let test_sweep_deadline_504 () =
+  Alcotest.(check int) "closed form primed" 200
+    (handle "POST" "/sweep" (sweep_body 1)).Serve.status;
+  let config = { Serve.default_config with Serve.deadline = Some 0.05 } in
+  let r = handle ~config "POST" "/sweep" (sweep_body 200_000) in
+  Alcotest.(check int) "200,000-point sweep past its deadline answers 504" 504
+    r.Serve.status;
+  Alcotest.(check bool) "exit-code 6 semantics in the envelope" true
+    (field (parse_body r) "exit_code" = J.Int 6)
 
 (* A sweep's [jobs] is the client's wish, capped at what [-j 0] would
    use: every lane past the first is a domain spawned for this one
@@ -520,6 +535,8 @@ let suite =
       Alcotest.test_case "inline net shares the cache" `Quick test_inline_net_shares_cache;
       Alcotest.test_case "deadline answers 504 / exit 6" `Quick test_deadline_504;
       Alcotest.test_case "sweep endpoint" `Quick test_sweep_endpoint;
+      Alcotest.test_case "sweep past its deadline answers 504" `Quick
+        test_sweep_deadline_504;
       Alcotest.test_case "statusz introspection" `Quick test_statusz;
       Alcotest.test_case "large JSON numbers decode exactly" `Quick test_large_json_numbers;
       Alcotest.test_case "repeated binding names answer 400" `Quick
