@@ -15,7 +15,7 @@
    Checkpoints also bump a per-domain heartbeat counter. The watchdog
    reads the heartbeat sum to detect a stalled analysis (a loop that
    stopped reaching its checkpoints), and the diagnostic dump reports
-   the per-domain counts as progress evidence. *)
+   the live domains' counts as progress evidence. *)
 
 type reason =
   | Deadline of float (* the configured budget, seconds *)
@@ -70,13 +70,16 @@ let cancel t r =
 
 (* ---------------- ambient token + heartbeats ---------------- *)
 
-(* Per-domain heartbeat counters, registered on first use. Entries of
-   dead worker domains stay in the list but stop advancing, so the
-   watchdog's "did the sum move" test still answers the right question
-   and the dump can show where each domain got to. *)
+(* Per-domain heartbeat counters, registered on a domain's first
+   checkpoint. When the domain exits, its row leaves the list and its
+   count folds into [retired], both under [beats_lock]: a server that
+   spawns a domain per connection keeps only live rows, and the sum the
+   watchdog compares (retired plus live rows, read under the same lock)
+   never decreases. *)
 type beat = { dom : int; count : int ref }
 
 let beats : beat list ref = ref []
+let retired = ref 0
 let beats_lock = Mutex.create ()
 
 let beat_key : int ref Domain.DLS.key =
@@ -84,12 +87,18 @@ let beat_key : int ref Domain.DLS.key =
       let count = ref 0 in
       let b = { dom = (Domain.self () :> int); count } in
       Mutex.protect beats_lock (fun () -> beats := b :: !beats);
+      Domain.at_exit (fun () ->
+          Mutex.protect beats_lock (fun () ->
+              retired := !retired + !count;
+              beats := List.filter (( != ) b) !beats));
       count)
 
 let heartbeats () =
   List.rev_map (fun b -> (b.dom, !(b.count))) !beats |> List.sort compare
 
-let heartbeat_total () = List.fold_left (fun acc b -> acc + !(b.count)) 0 !beats
+let heartbeat_total () =
+  Mutex.protect beats_lock (fun () ->
+      List.fold_left (fun acc b -> acc + !(b.count)) !retired !beats)
 
 let active_key : token option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)

@@ -74,11 +74,16 @@ val checkpoint : unit -> unit
 (** {1 Heartbeats}
 
     Every checkpoint bumps a per-domain counter, registered on the
-    domain's first checkpoint. The stall watchdog watches the sum; the
+    domain's first checkpoint. When the domain exits, its count folds
+    into a retired total and its row is dropped, so the rows stay
+    bounded by the live domains. The stall watchdog watches the sum; the
     diagnostic dump reports the per-domain values. *)
 
 val heartbeats : unit -> (int * int) list
-(** [(domain id, checkpoint count)] per domain that ever checkpointed,
-    sorted by domain id. Racy reads — values may lag by a few counts. *)
+(** [(domain id, checkpoint count)] per live domain that has
+    checkpointed, sorted by domain id. Racy reads — values may lag by a
+    few counts. *)
 
 val heartbeat_total : unit -> int
+(** Checkpoints ever made: the retired total plus every live row, read
+    under one lock, so it never decreases as domains exit. *)

@@ -28,59 +28,39 @@ type record = {
 
 type sink = record -> unit
 
-(* The sink list lives on the main domain; workers never touch it (their
-   records go through the Local buffer), so a plain ref suffices. The
-   cached minimum severity makes [enabled] one load + one compare. *)
+(* Records are emitted from any domain. One sink lock serializes every
+   dispatch, so a sink never runs twice at once and lines never
+   interleave; [set_sinks] takes it too, so once it returns no old sink
+   is still running. The cached minimum severity makes [enabled] one
+   load + one compare, outside the lock. *)
 let sinks : (level * sink) list ref = ref []
 let min_severity = ref max_int
-
-let recompute () =
-  min_severity :=
-    List.fold_left (fun acc (lvl, _) -> min acc (severity lvl)) max_int !sinks
+let sink_lock = Mutex.create ()
 
 let set_sinks l =
-  sinks := l;
-  recompute ()
-
-(* ---------------- per-domain buffers ---------------- *)
-
-module Local = struct
-  let key : record list ref option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-  let current () = Domain.DLS.get key
-  let install () = Domain.DLS.set key (Some (ref []))
-
-  let collect () =
-    match current () with
-    | None -> invalid_arg "Log.Local.collect: no buffer installed"
-    | Some b ->
-      Domain.DLS.set key None;
-      List.rev !b
-end
+  Mutex.protect sink_lock (fun () ->
+      sinks := l;
+      min_severity :=
+        List.fold_left (fun acc (lvl, _) -> min acc (severity lvl)) max_int l)
 
 (* ---------------- emission ---------------- *)
 
 let dispatch r =
-  List.iter (fun (lvl, sink) -> if severity r.level >= severity lvl then sink r) !sinks
+  Mutex.protect sink_lock (fun () ->
+      List.iter (fun (lvl, sink) -> if severity r.level >= severity lvl then sink r) !sinks)
 
 let enabled level = severity level >= !min_severity
 
 let emit level msg fields =
-  if enabled level then begin
-    let r =
+  if enabled level then
+    dispatch
       { ts = Unix.gettimeofday (); level; msg; lane = Trace.current_lane ();
         trace_id = Context.trace_id (); fields }
-    in
-    match Local.current () with
-    | Some b -> b := r :: !b
-    | None -> dispatch r
-  end
 
 let debug ?(fields = []) msg = emit Debug msg fields
 let info ?(fields = []) msg = emit Info msg fields
 let warn ?(fields = []) msg = emit Warn msg fields
 let error ?(fields = []) msg = emit Error msg fields
-
-let flush_records rs = List.iter dispatch rs
 
 (* ---------------- sinks ---------------- *)
 

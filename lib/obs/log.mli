@@ -10,15 +10,10 @@
     branch — libraries can log unconditionally and stay silent until an
     application opts in.
 
-    {b Domains.} Sinks are only ever driven from the domain that
-    installed them. A pool worker calls {!Local.install} before running
-    tasks; from then on its records accumulate in a domain-local buffer,
-    which the joining domain collects ({!Local.collect}) and replays
-    through the sinks ({!flush_records}) after the join —
-    [Tpan_par.Pool] does all of this automatically, exactly as it does
-    for {!Metrics} deltas. Records therefore never interleave mid-line,
-    at the price of worker logs appearing at join time (their [ts] field
-    keeps the true emission time). *)
+    {b Domains.} Any domain may log. Every record passes through the
+    sinks under one sink lock, so records from concurrent domains (pool
+    workers, serve's connection domains) never interleave mid-line and
+    reach the sinks in emission order. A sink must not itself log. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -63,18 +58,3 @@ val ndjson_sink : out_channel -> sink
 val set_sinks : (level * sink) list -> unit
 (** Replace all sinks ([(min_level, sink)] pairs). [set_sinks []]
     silences logging. *)
-
-(** {1 Per-domain buffers} *)
-
-module Local : sig
-  val install : unit -> unit
-  (** Redirect this domain's records into a fresh buffer. *)
-
-  val collect : unit -> record list
-  (** Detach the buffer and return its records in emission order.
-      @raise Invalid_argument if no buffer is installed. *)
-end
-
-val flush_records : record list -> unit
-(** Replay collected records through the installed sinks (call after
-    the join, on the sink-owning domain). *)

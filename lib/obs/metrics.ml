@@ -1,15 +1,8 @@
-(* Counters, gauges and histograms are plain mutable cells on the main
-   domain. Worker domains (created by Tpan_par.Pool) install a domain-local
-   delta buffer: every update lands in the buffer instead of the shared
-   cell, and the pool merges the buffers into the global cells at join
-   time. This keeps the hot-path cost at one DLS read + one store and makes
-   metric totals independent of how work was scheduled. *)
-
-let next_id = Atomic.make 0
-let new_id () = Atomic.fetch_and_add next_id 1
-
-type counter = { cid : int; mutable cv : int }
-type gauge = { gid : int; mutable gv : float }
+(* Every metric cell is safe to update from any domain, so one rule
+   covers the main domain, pool workers and serve's connection domains:
+   counters and gauges are [Atomic] cells, and each histogram carries
+   its own mutex. Totals are therefore exact and independent of how
+   work was scheduled. *)
 
 type exemplar = { ex_value : float; ex_trace_id : string; ex_ts : float }
 
@@ -20,7 +13,7 @@ let default_buckets =
   [| 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25; 0.5; 1.; 2.5; 5.; 10. |]
 
 type histogram = {
-  hid : int;
+  lock : Mutex.t;  (* guards every field below *)
   mutable data : float array;
   mutable stored : int;  (* valid prefix of [data] *)
   mutable total : int;  (* observations ever, drives round-robin overwrite *)
@@ -32,83 +25,28 @@ type histogram = {
   bin_exemplars : exemplar option array;  (* latest exemplar per bin *)
 }
 
-(* ---------------- domain-local delta buffers ---------------- *)
-
-module Local = struct
-  type buf = {
-    counters : (int, counter * int ref) Hashtbl.t;
-    gauges : (int, gauge * float ref) Hashtbl.t;
-    hists : (int, histogram * (float * string option) list ref) Hashtbl.t;
-  }
-
-  type deltas = buf
-
-  let key : buf option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-  let current () = Domain.DLS.get key
-
-  let install () =
-    Domain.DLS.set key
-      (Some
-         { counters = Hashtbl.create 16; gauges = Hashtbl.create 8; hists = Hashtbl.create 8 })
-
-  let collect () =
-    match current () with
-    | None -> invalid_arg "Metrics.Local.collect: no buffer installed"
-    | Some b ->
-      Domain.DLS.set key None;
-      b
-
-  let bump_counter b c n =
-    match Hashtbl.find_opt b.counters c.cid with
-    | Some (_, r) -> r := !r + n
-    | None -> Hashtbl.add b.counters c.cid (c, ref n)
-
-  let bump_gauge b g x =
-    match Hashtbl.find_opt b.gauges g.gid with
-    | Some (_, r) -> if x > !r then r := x
-    | None -> Hashtbl.add b.gauges g.gid (g, ref x)
-
-  let bump_hist b h x trace =
-    match Hashtbl.find_opt b.hists h.hid with
-    | Some (_, r) -> r := (x, trace) :: !r
-    | None -> Hashtbl.add b.hists h.hid (h, ref [ (x, trace) ])
-end
-
 module Counter = struct
-  type t = counter
+  type t = int Atomic.t
 
-  let create () = { cid = new_id (); cv = 0 }
-
-  let add c n =
-    match Local.current () with
-    | None -> c.cv <- c.cv + n
-    | Some b -> Local.bump_counter b c n
-
-  let incr c = add c 1
-  let value c = c.cv
-  let reset c = c.cv <- 0
+  let create () = Atomic.make 0
+  let add c n = ignore (Atomic.fetch_and_add c n)
+  let incr = Atomic.incr
+  let value = Atomic.get
+  let reset c = Atomic.set c 0
 end
 
 module Gauge = struct
-  type t = gauge
+  type t = float Atomic.t
 
-  let create () = { gid = new_id (); gv = 0. }
+  let create () = Atomic.make 0.
+  let set = Atomic.set
 
-  (* In a worker domain both [set] and [set_max] merge by maximum: the
-     gauges updated on parallel paths are peaks, and last-writer-wins has
-     no deterministic meaning across domains. *)
-  let set g x =
-    match Local.current () with
-    | None -> g.gv <- x
-    | Some b -> Local.bump_gauge b g x
+  let rec set_max g x =
+    let cur = Atomic.get g in
+    if x > cur && not (Atomic.compare_and_set g cur x) then set_max g x
 
-  let set_max g x =
-    match Local.current () with
-    | None -> if x > g.gv then g.gv <- x
-    | Some b -> Local.bump_gauge b g x
-
-  let value g = g.gv
-  let reset g = g.gv <- 0.
+  let value = Atomic.get
+  let reset g = Atomic.set g 0.
 end
 
 module Histogram = struct
@@ -122,7 +60,7 @@ module Histogram = struct
           invalid_arg "Histogram.create: buckets must be strictly increasing")
       buckets;
     {
-      hid = new_id ();
+      lock = Mutex.create ();
       data = [||];
       stored = 0;
       total = 0;
@@ -140,7 +78,8 @@ module Histogram = struct
     let rec go i = if i >= n || x <= h.bounds.(i) then i else go (i + 1) in
     go 0
 
-  let observe_direct ?trace h x =
+  let observe ?trace_id h x =
+    Mutex.protect h.lock @@ fun () ->
     (if h.stored < h.cap then begin
        if h.stored >= Array.length h.data then begin
          let grown = Array.make (max 64 (min h.cap (2 * Array.length h.data))) 0. in
@@ -156,31 +95,39 @@ module Histogram = struct
     if x > h.max_v then h.max_v <- x;
     let bin = bin_of h x in
     h.bin_counts.(bin) <- h.bin_counts.(bin) + 1;
-    match trace with
+    match trace_id with
     | None -> ()
     | Some ex_trace_id ->
       h.bin_exemplars.(bin) <-
         Some { ex_value = x; ex_trace_id; ex_ts = Unix.gettimeofday () }
 
-  let observe ?trace_id h x =
-    match Local.current () with
-    | None -> observe_direct ?trace:trace_id h x
-    | Some b -> Local.bump_hist b h x trace_id
+  let count h = Mutex.protect h.lock (fun () -> h.total)
+  let sum h = Mutex.protect h.lock (fun () -> h.hsum)
 
-  let count h = h.total
-  let sum h = h.hsum
-  let max_value h = if h.total = 0 then Float.nan else h.max_v
+  (* [peak] and [window] read the fields unguarded; callers hold the lock. *)
+  let peak h = if h.total = 0 then Float.nan else h.max_v
+  let window h = Array.sub h.data 0 h.stored
+  let max_value h = Mutex.protect h.lock (fun () -> peak h)
+
+  (* Nearest-rank percentile of an ascending window. *)
+  let nearest_rank sorted q =
+    let n = Array.length sorted in
+    if n = 0 then Float.nan
+    else
+      let rank = int_of_float (Float.ceil (q *. float_of_int n)) - 1 in
+      sorted.(max 0 (min (n - 1) rank))
+
+  (* The window is copied under the lock and sorted outside it, so a
+     scrape never holds up observers for a sort. *)
+  let sort_window w =
+    Array.sort compare w;
+    w
 
   let percentile h q =
-    if h.stored = 0 then Float.nan
-    else begin
-      let sorted = Array.sub h.data 0 h.stored in
-      Array.sort compare sorted;
-      let rank = int_of_float (Float.ceil (q *. float_of_int h.stored)) - 1 in
-      sorted.(max 0 (min (h.stored - 1) rank))
-    end
+    nearest_rank (sort_window (Mutex.protect h.lock (fun () -> window h))) q
 
   let reset h =
+    Mutex.protect h.lock @@ fun () ->
     h.stored <- 0;
     h.total <- 0;
     h.hsum <- 0.;
@@ -188,14 +135,6 @@ module Histogram = struct
     Array.fill h.bin_counts 0 (Array.length h.bin_counts) 0;
     Array.fill h.bin_exemplars 0 (Array.length h.bin_exemplars) None
 end
-
-let merge_deltas (b : Local.deltas) =
-  Hashtbl.iter (fun _ (c, r) -> c.cv <- c.cv + !r) b.Local.counters;
-  Hashtbl.iter (fun _ (g, r) -> if !r > g.gv then g.gv <- !r) b.Local.gauges;
-  Hashtbl.iter
-    (fun _ (h, r) ->
-      List.iter (fun (x, trace) -> Histogram.observe_direct ?trace h x) (List.rev !r))
-    b.Local.hists
 
 (* ---------------- timing switch ---------------- *)
 
@@ -319,16 +258,14 @@ let value_of = function
   | C c -> Counter_v (Counter.value c)
   | G g -> Gauge_v (Gauge.value g)
   | H h ->
-    Histogram_v
-      {
-        count = Histogram.count h;
-        sum = Histogram.sum h;
-        p50 = Histogram.percentile h 0.5;
-        p90 = Histogram.percentile h 0.9;
-        p99 = Histogram.percentile h 0.99;
-        max = Histogram.max_value h;
-        buckets = histogram_buckets h;
-      }
+    (* one acquisition, so count, sum, window and buckets describe the
+       same observations *)
+    let count, sum, max, window, buckets =
+      Mutex.protect h.lock (fun () ->
+          (h.total, h.hsum, Histogram.peak h, Histogram.window h, histogram_buckets h))
+    in
+    let pct = Histogram.nearest_rank (Histogram.sort_window window) in
+    Histogram_v { count; sum; p50 = pct 0.5; p90 = pct 0.9; p99 = pct 0.99; max; buckets }
 
 (* Snapshot entries sorted by full series name: a family's labelled
    series are adjacent (same prefix), which the OpenMetrics export

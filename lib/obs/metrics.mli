@@ -1,8 +1,15 @@
 (** Metrics registry: named counters, gauges and latency histograms shared
     by the whole pipeline.
 
-    Counters and gauges are plain mutable ints/floats — one store per
-    update, cheap enough to leave permanently on in every hot loop.
+    {b Domains.} Every update is safe from any domain, with no setup:
+    counters and gauges are [Atomic] cells (one atomic add or store per
+    update, cheap enough to leave permanently on in every hot loop), and
+    each histogram carries its own mutex, taken by {!Histogram.observe},
+    {!Histogram.reset} and every read. Totals are exact however the work
+    was scheduled — across [Tpan_par.Pool] workers and serve's
+    connection domains alike. A gauge {!Gauge.set} from several domains
+    is last-writer-wins; {!Gauge.set_max} keeps the maximum.
+
     Histogram {e timing} (the only part that touches the clock or
     allocates) is gated behind a global switch ({!set_timing}) that
     defaults to off, so an uninstrumented run pays nothing beyond the
@@ -47,7 +54,8 @@ module Gauge : sig
   val set : t -> float -> unit
 
   val set_max : t -> float -> unit
-  (** Keep the maximum of the current and the given value. *)
+  (** Keep the maximum of the current and the given value (a
+      compare-and-set loop, so concurrent peaks never lose the larger). *)
 
   val value : t -> float
   val reset : t -> unit
@@ -139,35 +147,6 @@ val find : string -> value option
 
 val counter_value : string -> int
 (** Value of a registered counter; [0] when absent (or not a counter). *)
-
-(** {1 Per-domain delta buffers}
-
-    Worker domains must not race on the shared cells. A worker calls
-    {!Local.install} before running tasks; from then on every update made
-    on that domain lands in a domain-local buffer. When the worker is done
-    it calls {!Local.collect} and hands the buffer to the joining domain,
-    which folds it into the global registry with {!merge_deltas}.
-    [Tpan_par.Pool] does all of this automatically.
-
-    Merge semantics: counters add their deltas (totals are therefore
-    independent of scheduling); gauges merge by maximum (the gauges touched
-    on parallel paths are peaks — in a worker, [Gauge.set] behaves like
-    [Gauge.set_max]); histograms replay their buffered observations
-    (exemplar trace ids included). *)
-
-module Local : sig
-  type deltas
-
-  val install : unit -> unit
-  (** Redirect this domain's metric updates into a fresh buffer. *)
-
-  val collect : unit -> deltas
-  (** Detach and return the buffer, restoring direct updates.
-      @raise Invalid_argument if no buffer is installed. *)
-end
-
-val merge_deltas : Local.deltas -> unit
-(** Fold a collected buffer into the global cells (call after join). *)
 
 val pp_table : ?all:bool -> Format.formatter -> unit -> unit
 (** Human-readable two-column table of {!snapshot}. [all] as in

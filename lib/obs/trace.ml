@@ -68,9 +68,10 @@ let current_lane () = !(Domain.DLS.get cur_lane)
    moment of a deadline/stall, and those are exactly the runs that
    rarely enable full tracing. The always-on cost is a DLS load plus a
    list cons per span — spans mark stages, not inner-loop iterations,
-   so this is noise. The registry holds each domain's (lane, stack)
-   refs; reads from other domains are racy but single-word, good
-   enough for diagnostics. *)
+   so this is noise. The registry holds each live domain's (lane,
+   stack) refs, and a domain's row leaves it when the domain exits;
+   reads from other domains are racy but single-word, good enough for
+   diagnostics. *)
 type dstack = { ds_lane : int ref; ds_stack : string list ref }
 
 let stacks : dstack list ref = ref []
@@ -81,6 +82,8 @@ let stack_key : string list ref Domain.DLS.key =
       let st = ref [] in
       let ds = { ds_lane = Domain.DLS.get cur_lane; ds_stack = st } in
       Mutex.protect stacks_lock (fun () -> stacks := ds :: !stacks);
+      Domain.at_exit (fun () ->
+          Mutex.protect stacks_lock (fun () -> stacks := List.filter (( != ) ds) !stacks));
       st)
 
 let span_stacks () =

@@ -56,9 +56,10 @@ val current_lane : unit -> int
     tracing. *)
 
 val span_stacks : unit -> (int * string list) list
-(** [(lane, open spans, innermost first)] for every domain that ever
-    opened a span, sorted by lane. Reads of other domains' stacks are
-    racy but safe — diagnostics-grade accuracy. *)
+(** [(lane, open spans, innermost first)] for every live domain that
+    has opened a span, sorted by lane; a domain's row is dropped when
+    it exits. Reads of other domains' stacks are racy but safe —
+    diagnostics-grade accuracy. *)
 
 (** {1 Completed events} *)
 

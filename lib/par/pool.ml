@@ -37,15 +37,11 @@ let effective_jobs jobs n =
 
 (* ---------------- worker observability harness ----------------
 
-   Every worker domain gets: a deterministic trace lane (worker [k] is
-   lane [k + 1]; the calling domain keeps lane 0), a metrics delta
-   buffer, and a log record buffer. The joining domain folds the deltas
-   into the global registry and replays the buffered log records through
-   the sinks, so neither metric updates nor log lines ever race across
-   domains. A [pool.worker] span marks each worker's busy region in the
-   merged Chrome trace. *)
-
-type obs_deltas = Tpan_obs.Metrics.Local.deltas * Tpan_obs.Log.record list
+   Every worker domain gets a deterministic trace lane (worker [k] is
+   lane [k + 1]; the calling domain keeps lane 0) and the spawning
+   domain's context. Metric cells and log sinks are safe from any
+   domain, so workers update and emit directly. A [pool.worker] span
+   marks each worker's busy region in the merged Chrome trace. *)
 
 (* GC words allocated inside each worker domain's busy region. OCaml 5
    keeps allocation counters per domain, so the quick_stat delta around
@@ -55,32 +51,25 @@ type obs_deltas = Tpan_obs.Metrics.Local.deltas * Tpan_obs.Log.record list
 let h_minor = Tpan_obs.Metrics.histogram "par.pool.worker_minor_words"
 let h_major = Tpan_obs.Metrics.histogram "par.pool.worker_major_words"
 
-let run_worker ?ctx lane task : obs_deltas =
+let run_worker ?ctx lane task =
   Tpan_obs.Trace.set_lane lane;
   (* the spawning domain's request context rides into the worker, so
      spans/logs carry the same trace id and a [--deadline] token aborts
      every lane — worker domains are fresh, their DLS starts empty *)
   Tpan_obs.Context.set ctx;
-  Tpan_obs.Metrics.Local.install ();
-  Tpan_obs.Log.Local.install ();
   (* [Gc.counters], not [quick_stat]: in OCaml 5 the stat record's
      allocation totals advance only at collection boundaries, so a
      worker that never fills its minor heap would report zero words.
      [counters] folds in the live minor-heap fill. *)
   let minor0, _, major0 = Gc.counters () in
   (* tasks never raise out of [task]: try_map captures per-task
-     exceptions, so the collects below always run *)
+     exceptions, so the observations below always run *)
   Tpan_obs.Trace.with_span "pool.worker" (fun sp ->
       Tpan_obs.Trace.add_attr_int sp "lane" lane;
       with_worker_flag task);
   let minor1, _, major1 = Gc.counters () in
   Tpan_obs.Metrics.Histogram.observe h_minor (minor1 -. minor0);
-  Tpan_obs.Metrics.Histogram.observe h_major (major1 -. major0);
-  (Tpan_obs.Metrics.Local.collect (), Tpan_obs.Log.Local.collect ())
-
-let merge_obs ((deltas, records) : obs_deltas) =
-  Tpan_obs.Metrics.merge_deltas deltas;
-  Tpan_obs.Log.flush_records records
+  Tpan_obs.Metrics.Histogram.observe h_major (major1 -. major0)
 
 (* ---------------- per-domain scratch arenas ---------------- *)
 
@@ -124,8 +113,7 @@ let try_map ?jobs f xs =
           Domain.spawn (fun () -> run_worker ?ctx (k + 1) work))
     in
     with_worker_flag work;
-    let deltas = Array.map Domain.join domains in
-    Array.iter merge_obs deltas;
+    Array.iter Domain.join domains;
     Array.to_list (Array.map Option.get results)
   end
 

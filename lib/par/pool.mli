@@ -18,9 +18,8 @@
     - Work stealing via a single [Atomic] index over the input array;
       the calling domain participates, so [jobs = 1] equals plain
       [List.map] even in cost.
-    - Worker domains install a {!Tpan_obs.Metrics.Local} delta buffer
-      and a {!Tpan_obs.Log.Local} record buffer; both are folded into
-      the global registry / replayed through the log sinks at join time,
+    - Workers update {!Tpan_obs.Metrics} cells and emit
+      {!Tpan_obs.Log} records directly: both are safe from any domain,
       so metric totals are scheduling-independent and log lines never
       interleave mid-line. Worker [k] traces in lane [k + 1]
       ({!Tpan_obs.Trace.set_lane}), so spans closed inside workers land

@@ -109,13 +109,6 @@ let total_errors types =
        (fun ep -> List.map (Printf.sprintf "{endpoint=%S,type=%S}" ep) types)
        all_endpoints)
 
-(* Process-wide counters are plain mutable ints, and every connection
-   runs on its own domain, so unsynchronized increments would race and
-   drop. Request accounting therefore serializes through one stats
-   mutex — the critical sections are a handful of integer bumps,
-   invisible next to even a cached request. *)
-let stats_lock = Mutex.create ()
-
 (* In-flight requests, keyed by trace id. The handler publishes each
    request here for /statusz and keeps a domain-local pointer so the
    body-resolution and envelope code can annotate the record (net hash,
@@ -200,9 +193,9 @@ let cache_counts () =
     (fun (k, (s : Tpan_cache.Cache.stats)) -> (k, s.hits, s.misses))
     (Tpan.Artifact.cache_stats ())
 
-(* Per-request cache activity as the difference of the process-wide
-   counters around the request. Exact under the sequential listener;
-   approximate if handlers are driven concurrently from tests. *)
+(* Cache activity while the request ran, as the difference of the
+   process-wide counters around it. Connections run concurrently, so
+   the difference also counts lookups made by overlapping requests. *)
 let cache_delta before after =
   List.filter_map
     (fun (k, h1, m1) ->
@@ -240,8 +233,10 @@ module Admission = struct
   let turnstile = Condition.create ()
   let active = ref 0
   let waiting = ref 0
-  let m_queued = lazy (Obs.Metrics.counter "serve.admission.queued")
-  let m_rejected = lazy (Obs.Metrics.counter "serve.admission.rejected")
+  (* looked up per bump rather than forced from a [lazy]: forcing one
+     [lazy] from two domains at once raises [CamlinternalLazy.Undefined] *)
+  let m_queued () = Obs.Metrics.counter "serve.admission.queued"
+  let m_rejected () = Obs.Metrics.counter "serve.admission.rejected"
 
   let with_slot config f =
     match config.max_inflight with
@@ -251,14 +246,12 @@ module Admission = struct
       Mutex.lock lock;
       if !active >= limit && !waiting >= 2 * limit then begin
         Mutex.unlock lock;
-        Mutex.protect stats_lock (fun () ->
-            Obs.Metrics.Counter.incr (Lazy.force m_rejected));
+        Obs.Metrics.Counter.incr (m_rejected ());
         raise (Overloaded 1)
       end;
       if !active >= limit then begin
         incr waiting;
-        Mutex.protect stats_lock (fun () ->
-            Obs.Metrics.Counter.incr (Lazy.force m_queued));
+        Obs.Metrics.Counter.incr (m_queued ());
         while !active >= limit do
           Condition.wait turnstile lock
         done;
@@ -510,6 +503,17 @@ let sweep_fields (sw : Tpan_perf.Sweep.t) =
     ("rows", J.List (List.map row sw.rows));
   ]
 
+(* A grid's point count is the product of its axes' steps, known before
+   any point is generated. Without a bound, one request could ask for a
+   billion-element axis; the product saturates instead of overflowing. *)
+let max_sweep_points = 10_000
+
+let grid_points axes =
+  List.fold_left
+    (fun n (a : Tpan_perf.Sweep.axis) ->
+      if n > max_int / a.steps then max_int else n * a.steps)
+    1 axes
+
 let h_sweep config obj =
   let canonical = canonical_of_body obj in
   let max_states =
@@ -522,6 +526,8 @@ let h_sweep config obj =
   in
   let bindings = bindings_field "bindings" obj in
   let axes = axes_field obj in
+  if grid_points axes > max_sweep_points then
+    bad (Printf.sprintf "axes: the grid has more than %d points" max_sweep_points);
   (* the client picks the fan-out, but never beyond what [-j 0] would
      use: each extra lane is a domain spawned for this one request *)
   let jobs =
@@ -868,7 +874,7 @@ let handle config ~meth ~target ~body =
   let caches_before =
     if config.access_log <> None then Some (cache_counts ()) else None
   in
-  Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (ep_requests endpoint));
+  Obs.Metrics.Counter.incr (ep_requests endpoint);
   inflight_add req;
   let resp =
     Obs.Context.with_ctx ctx (fun () ->
@@ -887,11 +893,10 @@ let handle config ~meth ~target ~body =
   in
   let dur = Unix.gettimeofday () -. t0 in
   inflight_remove req;
-  Mutex.protect stats_lock (fun () ->
-      Obs.Metrics.Histogram.observe ~trace_id:tid (ep_latency endpoint) dur;
-      match error_type_of_status resp.status with
-      | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
-      | None -> ());
+  Obs.Metrics.Histogram.observe ~trace_id:tid (ep_latency endpoint) dur;
+  (match error_type_of_status resp.status with
+  | Some ty -> Obs.Metrics.Counter.incr (ep_errors endpoint ty)
+  | None -> ());
   let slow = match config.slow_ms with Some ms -> dur *. 1000. >= ms | None -> false in
   let spans = Obs.Trace.take_events ~trace_id:tid in
   Obs.Tracez.record
@@ -950,7 +955,9 @@ exception Conn_stalled of string
 
 exception Shutting_down
 
-let m_client_aborts = lazy (Obs.Metrics.counter "serve.client_aborts")
+(* bumped from any connection domain, so looked up per bump, like the
+   admission counters *)
+let m_client_aborts () = Obs.Metrics.counter "serve.client_aborts"
 
 (* ----- shutdown plumbing: the self-pipe -----
 
@@ -1220,8 +1227,7 @@ let closing_status = function 400 | 408 | 413 | 501 -> true | _ -> false
 (* A request rejected while framing (bad head, stalled read, oversize or
    chunked body) never reaches [handle] and has no route: it counts as an
    "http" error of the "other" endpoint. *)
-let note_framing_error () =
-  Mutex.protect stats_lock (fun () -> Obs.Metrics.Counter.incr (ep_errors "other" "http"))
+let note_framing_error () = Obs.Metrics.Counter.incr (ep_errors "other" "http")
 
 let serve_connection config conn =
   let limit =
@@ -1262,8 +1268,7 @@ let serve_connection config conn =
          ~keep_alive:false
      with Client_gone _ -> ())
   | Client_gone reason ->
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_client_aborts));
+    Obs.Metrics.Counter.incr (m_client_aborts ());
     Obs.Log.debug "serve: client gone" ~fields:[ ("reason", J.Str reason) ]
 
 (* ----- per-connection service domains -----
@@ -1323,9 +1328,7 @@ module Conns = struct
             false
         end)
 
-  let note_inline () =
-    Mutex.protect stats_lock (fun () ->
-        Obs.Metrics.Counter.incr (Lazy.force m_inline))
+  let note_inline () = Obs.Metrics.Counter.incr (Lazy.force m_inline)
 
   let drain () =
     let hs =

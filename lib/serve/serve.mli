@@ -9,12 +9,14 @@
       request for a net, no symbolic build happens again)
     - [POST /sweep] — closed-form parameter sweep, batched onto the
       worker pool (the request's [jobs], capped at
-      {!Tpan_par.Pool.recommended_jobs})
+      {!Tpan_par.Pool.recommended_jobs}); a grid of more than 10,000
+      points answers [400] before any point is generated
     - [GET /metrics] — the {!Tpan_obs.Metrics} registry as OpenMetrics
       (includes [cache.*] hit/miss/eviction counters and [serve.*])
     - [GET /healthz] — liveness
     - [GET /statusz] — live introspection: uptime, build version,
-      per-artifact-kind cache hit ratios, lane heartbeats, GC stats,
+      per-artifact-kind cache hit ratios, the checkpoint heartbeats of
+      live domains, GC stats,
       and the in-flight requests with their age and trace id
     - [GET /tracez] — latency-bucketed ring buffers of recent request
       span trees ({!Tpan_obs.Tracez}), so the slow tail always has
@@ -31,12 +33,15 @@
     [/tracez]. Endpoint labels come from the route table (unknown
     paths, and requests rejected while framing, count as ["other"]), so
     cardinality is bounded. The [/statusz] request totals are sums over
-    these series.
+    these series. Metric cells are safe from any domain, so the
+    connection domains bump them without a lock of their own.
 
     Optionally the server also writes an NDJSON {e access log} (one
     {!Tpan_obs.Log} record per request: trace id, method, path, status,
-    exit code, latency, body sizes, net hash, per-artifact cache
-    hits/misses, deadline budget consumed), appends one run-ledger row
+    exit code, latency, body sizes, net hash, the per-artifact cache
+    hits/misses made while the request ran — lookups by overlapping
+    requests included — and deadline budget consumed), appends one
+    run-ledger row
     per request (subcommand ["serve:<endpoint>"], so
     [tpan runs --stats] reports per-endpoint latency percentiles and
     exit codes), and snapshots a flight-recorder dump scoped to the

@@ -112,6 +112,27 @@ let test_hook_sees_live_spans () =
       Alcotest.(check bool) "the hook saw lane 1 inside its span" true
         (List.exists (fun (lane, stack) -> lane = 1 && List.mem "work" stack) !seen))
 
+(* A server spawns a domain per connection and per sweep lane. Each
+   exiting domain leaves both per-domain registries, and its
+   checkpoints fold into the retired heartbeat total, so the rows stay
+   bounded by the live domains while the watchdog's sum keeps rising. *)
+let test_registries_drop_exited_domains () =
+  let rows () =
+    (List.length (Cancel.heartbeats ()), List.length (Tpan_obs.Trace.span_stacks ()))
+  in
+  (* this domain's own rows exist before the baseline *)
+  Cancel.checkpoint ();
+  Tpan_obs.Trace.with_span "baseline" ignore;
+  let before = rows () and total = Cancel.heartbeat_total () in
+  for _ = 1 to 50 do
+    Domain.join
+      (Domain.spawn (fun () ->
+           Tpan_obs.Trace.with_span "short-lived" (fun _ -> Cancel.checkpoint ())))
+  done;
+  Alcotest.(check (pair int int)) "no rows left by 50 joined domains" before (rows ());
+  Alcotest.(check bool) "retired checkpoints still count" true
+    (Cancel.heartbeat_total () >= total + 50)
+
 let test_pool_propagates_context () =
   let ctx = Context.make ~labels:[ ("req", "42") ] () in
   let ids =
@@ -286,6 +307,8 @@ let suite =
       Alcotest.test_case "on-cancel hook fires once" `Quick test_on_cancel_hook_runs_once;
       Alcotest.test_case "hook sees the cancelled domain's spans" `Quick
         test_hook_sees_live_spans;
+      Alcotest.test_case "exited domains leave the registries" `Quick
+        test_registries_drop_exited_domains;
       Alcotest.test_case "pool propagates request context" `Quick
         test_pool_propagates_context;
       Alcotest.test_case "pool deadline aborts all lanes" `Quick

@@ -457,18 +457,59 @@ let test_log_ndjson_sink () =
       (Option.bind (Option.bind (J.member "fields" doc) (J.member "file")) J.to_string_opt)
   | Error e -> Alcotest.fail ("ndjson line does not parse: " ^ e)
 
-let test_log_local_buffer () =
-  let seen = ref [] in
-  Log.set_sinks [ (Log.Debug, fun r -> seen := r :: !seen) ];
-  Log.Local.install ();
-  Log.info "buffered";
-  Alcotest.(check int) "buffered records bypass the sinks" 0 (List.length !seen);
-  let records = Log.Local.collect () in
-  Alcotest.(check int) "collect returns the buffer" 1 (List.length records);
-  Log.flush_records records;
+(* Raw domains, with no pool around them, update one counter, one
+   histogram and one gauge: every update lands, because the cells
+   themselves are safe from any domain. *)
+let test_metrics_any_domain () =
+  let c = Metrics.counter "test.obs.cross_domain" in
+  let h = Metrics.histogram "test.obs.cross_domain_obs" in
+  let g = Metrics.gauge "test.obs.cross_domain_peak" in
+  Metrics.Counter.reset c;
+  Metrics.Histogram.reset h;
+  Metrics.Gauge.reset g;
+  let n = 2_000_000 in
+  let work k () =
+    for i = 1 to n do
+      Metrics.Counter.incr c;
+      if i mod 200 = 0 then Metrics.Histogram.observe h (float_of_int i);
+      Metrics.Gauge.set_max g (float_of_int (k * i))
+    done
+  in
+  let ds = List.map (fun k -> Domain.spawn (work k)) [ 1; 2 ] in
+  List.iter Domain.join ds;
+  Alcotest.(check int) "no increment lost" (2 * n) (Metrics.Counter.value c);
+  Alcotest.(check int) "every observation counted" (2 * n / 200) (Metrics.Histogram.count h);
+  (* each domain observes 200·(1 + … + n/200); integer partial sums
+     below 2^53 make the float sum exact in any order *)
+  let per_domain = 200. *. float_of_int (n / 200) *. float_of_int ((n / 200) + 1) /. 2. in
+  Alcotest.(check (float 0.)) "exact histogram sum" (2. *. per_domain) (Metrics.Histogram.sum h);
+  Alcotest.(check (float 0.)) "gauge keeps the larger peak" (float_of_int (2 * n))
+    (Metrics.Gauge.value g)
+
+let test_log_concurrent_domains () =
+  let path = Filename.temp_file "tpan_obs" ".ndjson" in
+  let oc = open_out path in
+  Log.set_sinks [ (Log.Debug, Log.ndjson_sink oc) ];
+  let emit k () =
+    for i = 1 to 2000 do
+      Log.info "concurrent" ~fields:[ ("domain", J.Int k); ("i", J.Int i) ]
+    done
+  in
+  let ds = List.map (fun k -> Domain.spawn (emit k)) [ 1; 2 ] in
+  List.iter Domain.join ds;
   Log.set_sinks [];
-  Alcotest.(check int) "flush replays through the sinks" 1 (List.length !seen);
-  Alcotest.(check string) "record intact" "buffered" (List.hd !seen).Log.msg
+  close_out oc;
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  Sys.remove path;
+  Alcotest.(check int) "one line per record" 4000 (List.length !lines);
+  Alcotest.(check int) "every line parses" 4000
+    (List.length (List.filter (fun l -> Result.is_ok (J.of_string l)) !lines))
 
 let test_trace_lanes () =
   Trace.set_enabled true;
@@ -531,6 +572,9 @@ let suite =
       Alcotest.test_case "snapshot filtering" `Quick test_snapshot_filtering;
       Alcotest.test_case "log sinks & levels" `Quick test_log_sinks;
       Alcotest.test_case "log ndjson sink" `Quick test_log_ndjson_sink;
-      Alcotest.test_case "log local buffers" `Quick test_log_local_buffer;
+      Alcotest.test_case "log lines from concurrent domains stay whole" `Quick
+        test_log_concurrent_domains;
+      Alcotest.test_case "metrics updates from any domain are exact" `Quick
+        test_metrics_any_domain;
       Alcotest.test_case "trace lanes" `Quick test_trace_lanes;
     ] )

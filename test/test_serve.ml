@@ -129,14 +129,15 @@ let test_sweep_endpoint () =
     (contains r.Serve.body "1805/486672")
 
 (* The deadline covers the grid, not just the closed form behind it: a
-   huge grid over a cached form must abort as a whole, not answer 200
-   after seconds (or fill its rows with per-point deadline errors). *)
+   grid at the point cap over a cached form runs far past this
+   deadline, and must abort as a whole, not answer 200 late (or fill
+   its rows with per-point deadline errors). *)
 let test_sweep_deadline_504 () =
   Alcotest.(check int) "closed form primed" 200
     (handle "POST" "/sweep" (sweep_body 1)).Serve.status;
-  let config = { Serve.default_config with Serve.deadline = Some 0.05 } in
-  let r = handle ~config "POST" "/sweep" (sweep_body 200_000) in
-  Alcotest.(check int) "200,000-point sweep past its deadline answers 504" 504
+  let config = { Serve.default_config with Serve.deadline = Some 0.01 } in
+  let r = handle ~config "POST" "/sweep" (sweep_body 10_000) in
+  Alcotest.(check int) "10,000-point sweep past its deadline answers 504" 504
     r.Serve.status;
   Alcotest.(check bool) "exit-code 6 semantics in the envelope" true
     (field (parse_body r) "exit_code" = J.Int 6)
@@ -182,6 +183,25 @@ let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+(* A grid's point count is known before any point is generated, so an
+   oversized grid is turned away at once, however large its product. *)
+let test_sweep_grid_cap () =
+  let rejects what body =
+    let r = handle "POST" "/sweep" body in
+    Alcotest.(check int) (what ^ " answers 400") 400 r.Serve.status;
+    Alcotest.(check bool) (what ^ ": the message names the limit") true
+      (contains r.Serve.body "10000 points")
+  in
+  rejects "a 10,001-point grid" (sweep_body 10_001);
+  (* F(t1) is the second axis here, so it leaves the bindings *)
+  rejects "a 2^32 x 2^32 grid"
+    {|{"model":"stopwait-sym","transitions":["t7"],
+       "axes":["E(t3)=250..1000:4294967296","F(t1)=1..2:4294967296"],
+       "bindings":{"F(t2)":"1","F(t3)":"1",
+         "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
+         "F(t8)":"106.7","F(t9)":"106.7",
+         "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"}}|}
 
 let tmp_dir () =
   let d =
@@ -537,6 +557,8 @@ let suite =
       Alcotest.test_case "sweep endpoint" `Quick test_sweep_endpoint;
       Alcotest.test_case "sweep past its deadline answers 504" `Quick
         test_sweep_deadline_504;
+      Alcotest.test_case "sweep grid above 10,000 points answers 400" `Quick
+        test_sweep_grid_cap;
       Alcotest.test_case "statusz introspection" `Quick test_statusz;
       Alcotest.test_case "large JSON numbers decode exactly" `Quick test_large_json_numbers;
       Alcotest.test_case "repeated binding names answer 400" `Quick
