@@ -1062,9 +1062,13 @@ let qeval () =
    exact code path behind the socket listener), first with the caches
    wiped before every request — each one pays the symbolic TRG build,
    the rate solve, the closed-form derivation with its compiled
-   evaluation program, and a few milliseconds of exact evaluation (the
-   QEVAL figure) — then against the warm cache, where only
-   canonicalization, key lookup and the memoised answer remain. The wall
+   evaluation program and the exact evaluation (the QEVAL figure) —
+   then against the warm cache, where only canonicalization, key lookup
+   and the memoised answer remain. The check is what the cache promises:
+   across the warm batch no symbolic or closed-form build runs (no miss)
+   and no TRG state is interned. The ratio is printed, not gated: with
+   closed forms in lowest terms a cold ABP derivation takes milliseconds,
+   so the ratio measures the derivation more than the cache. The wall
    time recorded as the SERVE figure is the cached batch, so bench-diff
    gates the hot serving path. *)
 let serve_cache () =
@@ -1100,12 +1104,23 @@ let serve_cache () =
   Tpan.Artifact.reset_caches ();
   eval ();
   (* warm the cache *)
+  let counters =
+    [ "cache.symbolic.misses"; "cache.closed_form.misses"; "core.semantics.states_interned" ]
+  in
+  let read () = List.map Tpan_obs.Metrics.counter_value counters in
+  let before = read () in
   let warm = time warm_reps eval in
-  let ratio = cold /. warm in
+  let moved =
+    List.filter_map
+      (fun (name, (b, a)) -> if a <> b then Some (Printf.sprintf "%s +%d" name (a - b)) else None)
+      (List.combine counters (List.combine before (read ())))
+  in
   Format.printf
     "  uncached /eval (full symbolic build) %.1fms/req, cached %.4fms/req — %.0fx@."
-    (cold *. 1e3) (warm *. 1e3) ratio;
-  check "cached /eval is >= 50x faster than the uncached analysis" (ratio >= 50.)
+    (cold *. 1e3) (warm *. 1e3) (cold /. warm);
+  if moved <> [] then Format.printf "  moved across the warm batch: %s@." (String.concat ", " moved);
+  check "cached /eval builds nothing: no symbolic or closed-form miss, no TRG state interned"
+    (moved = [])
 
 (* ---------------- SERVE-KEEPALIVE ---------------- *)
 

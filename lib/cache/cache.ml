@@ -66,6 +66,9 @@ let enforce_budget (c : _ t) ~keep =
   done;
   publish_gauges c
 
+(* The persisted line format; lines of any other schema are skipped. *)
+let schema = 2
+
 let unlocked_put ?(persist = true) (c : _ t) key value =
   (match Hashtbl.find_opt c.table key with
    | Some old ->
@@ -84,7 +87,7 @@ let unlocked_put ?(persist = true) (c : _ t) key value =
       J.to_string
         (J.Obj
            [
-             ("schema", J.Int 1);
+             ("schema", J.Int schema);
              ("kind", J.Str c.name);
              ("key", J.Str key);
              ("value", encode value);
@@ -116,8 +119,8 @@ let load_persisted (c : _ t) decode path =
              if String.trim line <> "" then
                match J.of_string line with
                | Ok doc -> (
-                 match (J.member "key" doc, J.member "value" doc) with
-                 | Some (J.Str key), Some v -> (
+                 match (J.member "schema" doc, J.member "key" doc, J.member "value" doc) with
+                 | Some (J.Int s), Some (J.Str key), Some v when s = schema -> (
                    match decode v with
                    | Some value -> unlocked_put ~persist:false c key value
                    | None -> incr skipped)

@@ -23,11 +23,15 @@
 
     Persistence is opt-in and codec-based: pass [persist] (a directory)
     together with [encode]/[decode] and every store appends one NDJSON
-    line [{"schema": 1, "kind": <name>, "key": …, "value": …}] to
+    line [{"schema": 2, "kind": <name>, "key": …, "value": …}] to
     [<dir>/<name>.ndjson]; a fresh instance replays the file at
     creation (last write wins, byte budget enforced). Artifacts are
     re-{e decoded} — never unmarshaled — so values built by an earlier
-    process re-intern their symbols in this one. *)
+    process re-intern their symbols in this one. A line with any other
+    schema is skipped like an undecodable one, and its artifact is
+    rebuilt on first use: schema-1 lines may hold closed forms that were
+    never brought to lowest terms, and reducing one on decode can cost
+    seconds. *)
 
 type 'a t
 

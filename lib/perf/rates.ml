@@ -1,5 +1,8 @@
 module Q = Tpan_mathkit.Q
+module Poly = Tpan_symbolic.Poly
 module Rf = Tpan_symbolic.Ratfun
+
+exception Unsolvable of string
 
 type 'f field = {
   zero : 'f;
@@ -10,15 +13,89 @@ type 'f field = {
   mul : 'f -> 'f -> 'f;
   div : 'f -> 'f -> 'f;
   pp : Format.formatter -> 'f -> unit;
+  balance : nodes:int -> root:int -> (int * int * 'f) array -> 'f array * 'f array;
 }
+
+module QS = Tpan_mathkit.Sparse.Make (Q)
+
+(* Balance equations v(n) = Σ_{e: dst = n} p_e · v(src e), eliminated
+   over ℚ; the row for the normalization node is replaced by v(n0) = 1. *)
+let eliminate ~nodes:k ~root:i0 arcs =
+  let a = Array.init k (fun _ -> Array.make k Q.zero) in
+  let b = Array.make k Q.zero in
+  for i = 0 to k - 1 do
+    if i = i0 then begin
+      a.(i).(i0) <- Q.one;
+      b.(i) <- Q.one
+    end
+    else begin
+      a.(i).(i) <- Q.one;
+      Array.iter (fun (src, dst, p) -> if dst = i then a.(i).(src) <- Q.sub a.(i).(src) p) arcs
+    end
+  done;
+  let v =
+    match QS.solve a b with
+    | QS.Unique v -> v
+    | QS.Underdetermined ->
+      raise (Unsolvable "rate equations underdetermined: decision graph not strongly connected")
+    | QS.Inconsistent -> raise (Unsolvable "rate equations inconsistent")
+  in
+  (v, Array.map (fun (src, _, p) -> Q.mul p v.(src)) arcs)
+
+module FF = Tpan_mathkit.Bareiss.Make (Poly)
+
+let quo p d =
+  match Poly.divide_exact p d with
+  | Some q -> q
+  | None -> failwith "Rates: inexact division in the fraction-free solve"
+
+(* The same equations over ℚ[x] (DESIGN §11). Each node's
+   out-probabilities go over one denominator, p_e = w_e / D_n, so row n
+   reads D_n·y_n − Σ_{e→n} w_e·y_src(e) = 0: a graph Laplacian, whose
+   fraction-free solution y_n is the in-tree sum at n (the Markov chain
+   tree theorem). Then v(n) = D_n·y_n / C and r_e = w_e·y_src / C with
+   one denominator C = D_{n0}·y_{n0} shared by every rate. *)
+let fraction_free ~nodes:k ~root:i0 arcs =
+  let den = Array.make k Poly.zero in
+  Array.iter
+    (fun (src, _, p) ->
+      let d = Rf.den p and dn = den.(src) in
+      (* one conflict set per node: its probabilities share a hash-consed
+         denominator, and the lcm is a pointer test *)
+      if Poly.is_zero dn then den.(src) <- d
+      else if not (Poly.equal dn d) then den.(src) <- Poly.mul dn (quo d (Poly.gcd dn d)))
+    arcs;
+  let w =
+    Array.map
+      (fun (src, _, p) ->
+        if Poly.equal den.(src) (Rf.den p) then Rf.num p
+        else Poly.mul (Rf.num p) (quo den.(src) (Rf.den p)))
+      arcs
+  in
+  let a = Array.init k (fun i -> Array.init k (fun j -> if i = j then den.(i) else Poly.zero)) in
+  let b = Array.make k Poly.zero in
+  a.(i0).(i0) <- Poly.one;
+  b.(i0) <- Poly.one;
+  Array.iteri
+    (fun e (src, dst, _) -> if dst <> i0 then a.(dst).(src) <- Poly.sub a.(dst).(src) w.(e))
+    arcs;
+  let y =
+    match FF.solve a b with
+    | Some (y, _) -> y
+    | None ->
+      raise (Unsolvable "rate equations underdetermined: decision graph not strongly connected")
+  in
+  let c = Poly.mul den.(i0) y.(i0) in
+  ( Array.init k (fun i -> Rf.make (Poly.mul den.(i) y.(i)) c),
+    Array.mapi (fun e (src, _, _) -> Rf.make (Poly.mul w.(e) y.(src)) c) arcs )
 
 let q_field =
   { zero = Q.zero; one = Q.one; is_zero = Q.is_zero; add = Q.add; sub = Q.sub; mul = Q.mul;
-    div = Q.div; pp = Q.pp }
+    div = Q.div; pp = Q.pp; balance = eliminate }
 
 let ratfun_field =
   { zero = Rf.zero; one = Rf.one; is_zero = Rf.is_zero; add = Rf.add; sub = Rf.sub;
-    mul = Rf.mul; div = Rf.div; pp = Rf.pp }
+    mul = Rf.mul; div = Rf.div; pp = Rf.pp; balance = fraction_free }
 
 type ('t, 'p, 'f) result = {
   dg : ('t, 'p) Decision_graph.t;
@@ -34,8 +111,6 @@ and ('t, 'p, 'f) rated_edge = {
   rate : 'f;
   weight : 'f;
 }
-
-exception Unsolvable of string
 
 (* Strong connectivity of the decision graph (ignoring absorbed edges).
    The balance equations have a one-dimensional kernel exactly for
@@ -77,8 +152,8 @@ let strongly_connected (dg : _ Decision_graph.t) =
 
 let m_solves = Tpan_obs.Metrics.counter "perf.rates.solves"
 
-let solve (type f) ~(field : f field) ~embed_prob ~embed_delay ?normalize_at
-    (dg : ('t, 'p) Decision_graph.t) : ('t, 'p, f) result =
+let solve ~(field : 'f field) ~embed_prob ~embed_delay ?normalize_at
+    (dg : ('t, 'p) Decision_graph.t) : ('t, 'p, 'f) result =
   Tpan_obs.Trace.with_span "rates.solve" @@ fun sp ->
   Tpan_obs.Metrics.Counter.incr m_solves;
   Tpan_obs.Trace.add_attr_int sp "nodes" (List.length dg.Decision_graph.nodes);
@@ -102,57 +177,25 @@ let solve (type f) ~(field : f field) ~embed_prob ~embed_delay ?normalize_at
     | Some i -> i
     | None -> raise (Unsolvable "normalize_at is not a decision node")
   in
-  let module F = struct
-    type t = f
-
-    let zero = field.zero
-    let one = field.one
-    let is_zero = field.is_zero
-    let add = field.add
-    let sub = field.sub
-    let mul = field.mul
-    let div = field.div
-    let pp = field.pp
-  end in
-  let module LS = Tpan_mathkit.Sparse.Make (F) in
-  (* Balance equations v(n) = Σ_{e: dst = n} p_e · v(src e); the row for the
-     normalization node is replaced by v(n0) = 1. *)
-  let a = Array.init k (fun _ -> Array.make k field.zero) in
-  let b = Array.make k field.zero in
-  for i = 0 to k - 1 do
-    if i = i0 then begin
-      a.(i).(i0) <- field.one;
-      b.(i) <- field.one
-    end
-    else begin
-      a.(i).(i) <- field.one;
-      List.iter
-        (fun (e : _ Decision_graph.dedge) ->
-          match e.dst with
-          | Decision_graph.To n when n = nodes.(i) ->
-            let j = Hashtbl.find pos e.src in
-            a.(i).(j) <- field.sub a.(i).(j) (embed_prob e.prob)
-          | _ -> ())
-        dg.Decision_graph.edges
-    end
-  done;
-  let v =
-    match LS.solve a b with
-    | LS.Unique v -> v
-    | LS.Underdetermined ->
-      raise (Unsolvable "rate equations underdetermined: decision graph not strongly connected")
-    | LS.Inconsistent -> raise (Unsolvable "rate equations inconsistent")
+  let arcs =
+    Array.of_list
+      (List.map
+         (fun (e : _ Decision_graph.dedge) ->
+           match e.dst with
+           | Decision_graph.To n -> (Hashtbl.find pos e.src, Hashtbl.find pos n, embed_prob e.prob)
+           | Decision_graph.Absorbed _ -> assert false (* rejected above *))
+         dg.Decision_graph.edges)
   in
+  let v, r = field.balance ~nodes:k ~root:i0 arcs in
   let visit_rate n =
     match Hashtbl.find_opt pos n with
     | Some i -> v.(i)
     | None -> raise (Unsolvable "visit_rate: not a decision node")
   in
   let edge_rate =
-    List.map
-      (fun (e : _ Decision_graph.dedge) ->
-        let r = field.mul (embed_prob e.prob) (visit_rate e.src) in
-        { edge = e; rate = r; weight = field.mul r (embed_delay e.delay) })
+    List.mapi
+      (fun i (e : _ Decision_graph.dedge) ->
+        { edge = e; rate = r.(i); weight = field.mul r.(i) (embed_delay e.delay) })
       dg.Decision_graph.edges
   in
   let total_weight = List.fold_left (fun acc re -> field.add acc re.weight) field.zero edge_rate in

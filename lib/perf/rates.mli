@@ -9,7 +9,18 @@
 
     The solver is generic over the coefficient field, so the same code
     yields the paper's symbolic rates (field = rational functions of the
-    frequency symbols) and exact numeric rates (field = ℚ). *)
+    frequency symbols) and exact numeric rates (field = ℚ). Each field
+    solves its own equations ({!field.balance}):
+    - over ℚ by sparse Gaussian elimination;
+    - over ℚ(x) without leaving ℚ[x]. Each node's out-probabilities are
+      written over one denominator, [p_e = w_e / D_n], and the system
+      [D_n·y_n − Σ_{e→n} w_e·y_src(e) = 0] is solved by fraction-free
+      (Bareiss) elimination. By the Markov chain tree theorem [y_n] is the
+      sum over spanning in-trees rooted at [n] of [Π w_e], so
+      [v(n) = D_n·y_n / C] and [r_e = w_e·y_src / C] share one
+      denominator [C], which cancels from every measure. The paper's
+      product forms (Figure 8's [f5·f8/((f4+f5)(f8+f9))]) come out this
+      way, and a closed form needs one small gcd to reach lowest terms. *)
 
 type 'f field = {
   zero : 'f;
@@ -20,10 +31,23 @@ type 'f field = {
   mul : 'f -> 'f -> 'f;
   div : 'f -> 'f -> 'f;
   pp : Format.formatter -> 'f -> unit;
+  balance : nodes:int -> root:int -> (int * int * 'f) array -> 'f array * 'f array;
+      (** [balance ~nodes ~root arcs] solves the balance equations of a
+          graph on nodes [0 … nodes-1] with one arc [(src, dst, p)] per
+          edge: the visit rate of each node, [1] at [root], and the
+          traversal rate of each arc.
+          @raise Unsolvable if the system is singular *)
 }
 
+exception Unsolvable of string
+(** The decision graph is absorbing, not strongly connected, or otherwise
+    yields a singular system. *)
+
 val q_field : Tpan_mathkit.Q.t field
+(** Exact rationals; balance by {!Tpan_mathkit.Sparse} elimination. *)
+
 val ratfun_field : Tpan_symbolic.Ratfun.t field
+(** Rational functions; balance by the fraction-free solve over ℚ[x]. *)
 
 type ('t, 'p, 'f) result = {
   dg : ('t, 'p) Decision_graph.t;
@@ -41,10 +65,6 @@ and ('t, 'p, 'f) rated_edge = {
   rate : 'f;  (** relative traversal rate [r_e] *)
   weight : 'f;  (** relative time spent on the edge [w_e = r_e·d_e] *)
 }
-
-exception Unsolvable of string
-(** The decision graph is absorbing, not strongly connected, or otherwise
-    yields a singular system. *)
 
 val solve :
   field:'f field ->

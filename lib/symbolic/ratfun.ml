@@ -165,27 +165,16 @@ let normalize n d =
       let c, dm = Poly.monic_factor d in
       node (Poly.scale (Q.inv c) n) dm
 
-(* Full cancellation by polynomial GCD. The primitive Euclidean algorithm
-   degrades on dense high-variable-count operands, so very large inputs are
-   returned unreduced (the value is unchanged either way; {!equal} never
-   depends on the representation). *)
+(* Full cancellation by polynomial GCD. *)
 let cancel r =
-  let budget_terms = 400 and budget_vars = 16 in
-  if
-    Poly.size r.n + Poly.size r.d > budget_terms
-    || List.length (Poly.vars r.n) > budget_vars
-    || List.length (Poly.vars r.d) > budget_vars
-  then r
-  else begin
-    let g = Poly.gcd r.n r.d in
-    if Poly.equal g Poly.one then r
-    else
-      match (Poly.divide_exact r.n g, Poly.divide_exact r.d g) with
-      | Some n', Some d' ->
-        let c, dm = Poly.monic_factor d' in
-        node (Poly.scale (Q.inv c) n') dm
-      | _ -> r (* unreachable: the gcd divides both *)
-  end
+  let g = Poly.gcd r.n r.d in
+  if Poly.equal g Poly.one then r
+  else
+    match (Poly.divide_exact r.n g, Poly.divide_exact r.d g) with
+    | Some n', Some d' ->
+      let c, dm = Poly.monic_factor d' in
+      node (Poly.scale (Q.inv c) n') dm
+    | _ -> r (* unreachable: the gcd divides both *)
 
 (* A reduced value is a final one, about to be evaluated or cached, so
    its evaluation program is compiled here. *)
@@ -257,6 +246,7 @@ let equal a b =
   || Poly.equal (Poly.mul a.n b.d) (Poly.mul b.n a.d)
 
 let pp fmt r =
+  let r = cancel r in
   if Poly.equal r.d Poly.one then Poly.pp fmt r.n
   else begin
     let needs_parens p = match Poly.to_q_opt p with Some _ -> false | None -> true in

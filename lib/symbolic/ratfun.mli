@@ -1,10 +1,13 @@
 (** Rational functions (quotients of {!Poly}) — the field in which symbolic
     branching probabilities and traversal rates live.
 
-    Normalization is best-effort (monic denominator, exact-division
-    cancellation); {!equal} is nevertheless exact because it
-    cross-multiplies. Expression growth is bounded in practice by the tiny
-    size of protocol decision graphs. *)
+    Arithmetic keeps a light normal form: monic denominator and
+    exact-division cancellation, no gcd. {!equal} is nevertheless exact
+    because it cross-multiplies. Lowest terms come from {!reduce}, which
+    cancels the full gcd at any size, and {!pp} prints them, so every
+    printed value is the canonical one. Expression growth is kept down
+    where it starts: the rate solve works over ℚ[x] and hands the closed
+    forms one small gcd (see [Tpan_perf.Rates]). *)
 
 type t
 
@@ -53,11 +56,12 @@ val derivative : Var.t -> t -> t
 
 val reduce : t -> t
 (** Cancel the full polynomial GCD of numerator and denominator (value
-    unchanged). Arithmetic keeps only a light normal form for speed; apply
-    this to final results for canonical, human-readable expressions. Very
-    large operands are returned unreduced. The result's evaluation program
-    is compiled before it is returned, so a cache that weighs the value
-    charges the program too. *)
+    unchanged): lowest terms with a monic denominator, the unique
+    representation of the value. Arithmetic keeps only a light normal form
+    for speed; apply this to final results. There is no size limit, so
+    the cost is that of {!Poly.gcd} on the operands. The result's
+    evaluation program is compiled before it is returned, so a cache that
+    weighs the value charges the program too. *)
 
 val equal : t -> t -> bool
 (** Exact value equality (cross-multiplies), with pointer and
@@ -69,3 +73,5 @@ val interned : unit -> int
     values are collected). *)
 
 val pp : Format.formatter -> t -> unit
+(** Prints the lowest-terms form, whatever the representation: values
+    that are {!equal} print the same bytes. *)

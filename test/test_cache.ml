@@ -4,6 +4,7 @@
 
 module Cache = Tpan_cache.Cache
 module Codec = Tpan_cache.Codec
+module J = Tpan_obs.Jsonv
 module Q = Tpan_mathkit.Q
 module Rf = Tpan_symbolic.Ratfun
 module SG = Tpan_core.Symbolic
@@ -220,6 +221,59 @@ let test_warm_start_replays_all_kinds () =
   Tpan.Artifact.configure ();
   Tpan.Artifact.reset_caches ()
 
+(* A line written before closed forms came out in lowest terms carries
+   schema 1 and may hold a form whose gcd costs seconds to decode; it
+   must be skipped unread, and the artifact rebuilt on first use. The
+   stale line holds the symbolic ABP throughput as elimination over
+   ℚ(x) left it: 1,195 terms instead of 11. *)
+let test_stale_schema_skipped () =
+  let dir = temp_dir () in
+  let abp = canonical "abp-sym" in
+  let file = Filename.concat dir "closed_form.ndjson" in
+  Tpan.Artifact.configure ~persist_dir:dir ();
+  (match Tpan.Artifact.closed_form abp ~transition:"recv_new0" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "closed form: %s" (Tpan.Error.to_string e));
+  let key =
+    let ic = open_in file in
+    let line = input_line ic in
+    close_in ic;
+    match Result.map (J.member "key") (J.of_string line) with
+    | Ok (Some k) -> k
+    | _ -> Alcotest.fail "persisted line has no key"
+  in
+  let unreduced =
+    let g = SG.build (Tpan.Canonical.tpn abp) in
+    let res = Test_rates.(solve reference (decision_graph g)) in
+    M.throughput_of_transition res ~by:`Completed
+      (Tpan_petri.Net.trans_of_name (Tpan_core.Tpn.net (Tpan.Canonical.tpn abp)) "recv_new0")
+  in
+  let terms r = Tpan_symbolic.Poly.(size (Rf.num r) + size (Rf.den r)) in
+  Alcotest.(check int) "the stale form" 1195 (terms unreduced);
+  let oc = open_out file in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [
+            ("schema", J.Int 1);
+            ("kind", J.Str "closed_form");
+            ("key", key);
+            ("value", Codec.ratfun_to_json unreduced);
+          ]));
+  output_char oc '\n';
+  close_out oc;
+  let misses () = Tpan_obs.Metrics.counter_value "cache.closed_form.misses" in
+  Tpan.Artifact.configure ~persist_dir:dir ();
+  let before = misses () in
+  (match Tpan.Artifact.closed_form abp ~transition:"recv_new0" with
+  | Ok thr ->
+    Alcotest.(check int) "rebuilt in lowest terms" 11 (terms thr);
+    Alcotest.(check bool) "same value" true (Rf.equal thr unreduced)
+  | Error e -> Alcotest.failf "rebuilt closed form: %s" (Tpan.Error.to_string e));
+  Alcotest.(check int) "the stale line was skipped: one miss" (before + 1) (misses ());
+  Tpan.Artifact.configure ();
+  Tpan.Artifact.reset_caches ()
+
 let test_artifact_parallel_sharing () =
   Tpan.Artifact.reset_caches ();
   let c = canonical "stopwait-sym" in
@@ -286,6 +340,8 @@ let suite =
       Alcotest.test_case "persistence round-trip" `Quick test_persistence_round_trip;
       Alcotest.test_case "warm-start replays every artifact kind" `Quick
         test_warm_start_replays_all_kinds;
+      Alcotest.test_case "warm-start skips stale schema lines" `Quick
+        test_stale_schema_skipped;
       Alcotest.test_case "-j4 workers share one artifact" `Quick
         test_artifact_parallel_sharing;
       Alcotest.test_case "cached = fresh closed form" `Quick test_artifact_cached_vs_fresh;

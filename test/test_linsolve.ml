@@ -101,6 +101,46 @@ let prop_solves_random_system =
       | QS.Underdetermined -> true (* singular matrix: planted solution not unique *)
       | QS.Inconsistent -> false (* impossible: b was built from a model *))
 
+(* Fraction-free elimination over ℤ against the ℚ elimination above: a
+   unique ℚ solution y must come back as (x, d) with d ≠ 0 and x = d·y
+   (so every division on the way was exact), and a system without one
+   as [None]. *)
+module B = Tpan_mathkit.Bigint
+
+module FF = Tpan_mathkit.Bareiss.Make (struct
+  include B
+
+  let divide_exact a b =
+    let q, r = B.divmod a b in
+    if B.is_zero r then Some q else None
+end)
+
+let test_bareiss_pivoting () =
+  match FF.solve [| [| B.zero; B.one |]; [| B.one; B.zero |] |] [| B.of_int 2; B.one |] with
+  | Some (x, d) ->
+    (* det = -1 and the row swap flips it: d = 1 *)
+    Alcotest.(check (list string)) "x/d" [ "1"; "2" ]
+      (Array.to_list (Array.map (fun v -> Q.to_string (Q.make v d)) x))
+  | None -> Alcotest.fail "regular system reported singular"
+
+let prop_bareiss_matches_elimination =
+  QCheck2.Test.make ~name:"fraction-free = elimination over Q" ~count:300
+    QCheck2.Gen.(
+      let elt = int_range (-5) 5 in
+      let* n = int_range 1 5 in
+      let* rows = list_size (return n) (list_size (return n) elt) in
+      let* b = list_size (return n) elt in
+      return (rows, b))
+    (fun (rows, b) ->
+      let a = Array.of_list (List.map Array.of_list rows) in
+      let b = Array.of_list b in
+      match (QS.solve (Array.map (Array.map qi) a) (Array.map qi b),
+             FF.solve (Array.map (Array.map B.of_int) a) (Array.map B.of_int b)) with
+      | QS.Unique y, Some (x, d) ->
+        (not (B.is_zero d)) && Array.for_all2 (fun y x -> Q.equal y (Q.make x d)) y x
+      | (QS.Underdetermined | QS.Inconsistent), None -> true
+      | _ -> false)
+
 let suite =
   ( "linsolve",
     [
@@ -111,4 +151,6 @@ let suite =
       Alcotest.test_case "inconsistent" `Quick test_inconsistent;
       Alcotest.test_case "dimension mismatch" `Quick test_dimension_mismatch;
       QCheck_alcotest.to_alcotest prop_solves_random_system;
+      Alcotest.test_case "fraction-free pivoting" `Quick test_bareiss_pivoting;
+      QCheck_alcotest.to_alcotest prop_bareiss_matches_elimination;
     ] )

@@ -230,7 +230,10 @@ let test_ratfun_reduce () =
   Alcotest.(check bool) "same value" true (Rf.equal r reduced);
   (* num/den of the reduced form are coprime *)
   Alcotest.check poly "coprime after reduce" Poly.one
-    (Poly.gcd (Rf.num reduced) (Rf.den reduced))
+    (Poly.gcd (Rf.num reduced) (Rf.den reduced));
+  (* printing shows lowest terms whatever the representation *)
+  Alcotest.(check string) "pp prints lowest terms" (Format.asprintf "%a" Rf.pp reduced)
+    (Format.asprintf "%a" Rf.pp r)
 
 let test_throughput_is_canonical () =
   (* the flagship payoff: the general stop-and-wait throughput reduces to
