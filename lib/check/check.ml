@@ -1,5 +1,4 @@
 module Q = Tpan_mathkit.Q
-module Net = Tpan_petri.Net
 module Tpn = Tpan_core.Tpn
 module CG = Tpan_core.Concrete
 module SG = Tpan_core.Symbolic
@@ -78,6 +77,7 @@ let classify_exn = function
   | Rates.Unsolvable msg -> Error.Unsolvable msg
   | DG.Deterministic_cycle c -> Error.Deterministic_cycle c
   | Division_by_zero -> Error.Unsupported "division by zero during evaluation"
+  | Invalid_argument msg -> Error.Invalid_input msg
   | e -> raise e
 
 let describe_exn = function
@@ -86,7 +86,7 @@ let describe_exn = function
   | Rates.Unsolvable msg -> "rate equations unsolvable: " ^ msg
   | DG.Deterministic_cycle _ -> "deterministic cycle: no decision nodes on the walk"
   | Division_by_zero -> "division by zero during evaluation"
-  | Failure msg -> msg
+  | Failure msg | Invalid_argument msg -> msg
   | Not_found -> "unknown transition or unbound variable"
   | e -> Printexc.to_string e
 
@@ -103,7 +103,7 @@ let eval_triple cfg ~expr ~delivery ~sim_seed tpn point =
       | Some e -> M.Symbolic.eval_at e point
       | None -> M.Concrete.throughput res g delivery
     in
-    let t = Net.trans_of_name (Tpn.net bound) delivery in
+    let t = M.transition bound delivery in
     let numeric =
       Markov.throughput
         ~probs:(fun e -> Q.to_float e.DG.prob)

@@ -66,10 +66,4 @@ module Make (F : FIELD) = struct
     if !inconsistent then Inconsistent
     else if Array.exists (fun p -> p < 0) pivot_of_col then Underdetermined
     else Unique (Array.init cols (fun c -> m.(pivot_of_col.(c)).(cols)))
-
-  let solve_unique a b =
-    match solve a b with
-    | Unique x -> x
-    | Underdetermined -> failwith "Linsolve.solve_unique: underdetermined system"
-    | Inconsistent -> failwith "Linsolve.solve_unique: inconsistent system"
 end

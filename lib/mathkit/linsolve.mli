@@ -1,8 +1,10 @@
 (** Exact dense linear-system solving over an arbitrary field.
 
-    Used twice in the analyzer: over {!Q} for numeric traversal-rate
-    equations, and over symbolic rational functions for the paper's symbolic
-    rate derivation (Figure 8). *)
+    The library solves its Markov chains elsewhere: over ℚ by
+    {!Sparse.Make.solve_rows}, over rational functions by the
+    fraction-free {!Bareiss} solve. This Gauss–Jordan elimination is the
+    dense reference the tests compare those solvers against; {!FIELD} is
+    the field signature {!Sparse} shares. *)
 
 module type FIELD = sig
   type t
@@ -28,7 +30,4 @@ module Make (F : FIELD) : sig
       first-nonzero pivot (valid over any exact field). [a] is an array of
       rows; inputs are not mutated.
       @raise Invalid_argument on ragged or mismatched dimensions. *)
-
-  val solve_unique : F.t array array -> F.t array -> F.t array
-  (** Like {!solve} but @raise Failure unless the solution is unique. *)
 end

@@ -9,16 +9,8 @@
    means any nonzero pivot is numerically valid, so the heuristic is
    free to chase sparsity alone. *)
 
-(* Below this many rows the dense elimination wins outright (no index
-   bookkeeping, better locality); above this fill ratio the "sparse"
-   rows are dense lists and the assoc-list merges lose to flat arrays. *)
-let sparse_min_rows = 64
-let max_fill = 0.25
-
 module Make (F : Linsolve.FIELD) = struct
-  module Dense = Linsolve.Make (F)
-
-  type outcome = Dense.outcome =
+  type outcome =
     | Unique of F.t array
     | Underdetermined
     | Inconsistent
@@ -136,38 +128,4 @@ module Make (F : Linsolve.FIELD) = struct
         !pivots;
       Unique x
     end
-
-  let solve a b =
-    let nrows = Array.length a in
-    if Array.length b <> nrows then invalid_arg "Sparse.solve: dimension mismatch";
-    let ncols = if nrows = 0 then 0 else Array.length a.(0) in
-    Array.iter
-      (fun r -> if Array.length r <> ncols then invalid_arg "Sparse.solve: ragged matrix")
-      a;
-    if nrows < sparse_min_rows || ncols = 0 then Dense.solve a b
-    else begin
-      let nnz = ref 0 in
-      Array.iter (Array.iter (fun v -> if not (F.is_zero v) then incr nnz)) a;
-      let fill = float_of_int !nnz /. (float_of_int nrows *. float_of_int ncols) in
-      if fill > max_fill then Dense.solve a b
-      else begin
-        let rows =
-          Array.map
-            (fun dense_row ->
-              let acc = ref [] in
-              for c = ncols - 1 downto 0 do
-                if not (F.is_zero dense_row.(c)) then acc := (c, dense_row.(c)) :: !acc
-              done;
-              !acc)
-            a
-        in
-        solve_rows ~ncols rows b
-      end
-    end
-
-  let solve_unique a b =
-    match solve a b with
-    | Unique x -> x
-    | Underdetermined -> failwith "Sparse.solve_unique: underdetermined system"
-    | Inconsistent -> failwith "Sparse.solve_unique: inconsistent system"
 end

@@ -1,21 +1,22 @@
-(** Exact sparse linear-system solving over an arbitrary field.
+(** Exact sparse linear-system solving over an arbitrary field, in row
+    form.
 
     Rate-balance and Markov steady-state systems are sparse: a reachability
     state has a handful of successors, so each balance equation touches a
-    handful of unknowns out of thousands. The dense Gauss–Jordan in
-    {!Linsolve} allocates and scans the full n×n matrix regardless; this
-    module keeps rows as sorted (column, coefficient) lists and picks pivots
+    handful of unknowns out of thousands. Callers assemble each equation
+    as a list of (column, coefficient) pairs, and no n×n matrix is ever
+    materialized; rows stay sorted lists and pivots are picked
     Markowitz-style (sparsest column, then shortest row) to limit fill-in.
+    Every ℚ Markov solve in the library goes through {!Make.solve_rows}.
 
-    Over an exact field a unique solution is unique — the sparse and dense
-    paths produce bit-identical [Unique] vectors, and they classify
-    [Underdetermined]/[Inconsistent] identically (both are rank facts of the
-    system, not of the elimination order). *)
+    Over an exact field a unique solution is unique: {!Linsolve}, the
+    dense Gauss–Jordan kept as the reference the tests compare against,
+    yields bit-identical [Unique] vectors and the same
+    [Underdetermined]/[Inconsistent] classification (both are rank facts
+    of the system, not of the elimination order). *)
 
 module Make (F : Linsolve.FIELD) : sig
-  module Dense : module type of Linsolve.Make (F)
-
-  type outcome = Dense.outcome =
+  type outcome =
     | Unique of F.t array
     | Underdetermined
     | Inconsistent
@@ -24,24 +25,8 @@ module Make (F : Linsolve.FIELD) : sig
   (** [solve_rows ~ncols rows b] solves the system whose [i]-th equation is
       [Σ coeff·x(col) = b.(i)] for the [(col, coeff)] pairs in [rows.(i)].
       Rows need not be sorted; duplicate columns are summed and zero
-      coefficients dropped. Inputs are not mutated.
+      coefficients dropped. Inputs are not mutated. Runs one
+      {!Tpan_obs.Cancel.checkpoint} per pivot.
       @raise Invalid_argument on a column index outside [0, ncols) or a
       length mismatch between [rows] and [b]. *)
-
-  val solve : F.t array array -> F.t array -> outcome
-  (** [solve a b] solves [a · x = b], choosing the representation by shape:
-      systems below {!sparse_min_rows} rows or above {!max_fill} fill ratio
-      go to the dense {!Linsolve} elimination (small systems don't repay the
-      index bookkeeping; full matrices defeat sparsity), everything else is
-      converted and handed to {!solve_rows}.
-      @raise Invalid_argument on ragged or mismatched dimensions. *)
-
-  val solve_unique : F.t array array -> F.t array -> F.t array
-  (** Like {!solve} but @raise Failure unless the solution is unique. *)
 end
-
-val sparse_min_rows : int
-(** Systems with fewer rows than this always use the dense path. *)
-
-val max_fill : float
-(** Densest fill ratio (nnz / rows·cols) still routed to the sparse path. *)

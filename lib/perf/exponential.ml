@@ -35,18 +35,7 @@ let build ?max_states tpn =
   let graph = Reach.explore ?max_states net in
   { graph; rates }
 
-module QS = Tpan_mathkit.Sparse.Make (struct
-  type t = Q.t
-
-  let zero = Q.zero
-  let one = Q.one
-  let is_zero = Q.is_zero
-  let add = Q.add
-  let sub = Q.sub
-  let mul = Q.mul
-  let div = Q.div
-  let pp = Q.pp
-end)
+module QS = Tpan_mathkit.Sparse.Make (Q)
 
 let steady_state c =
   let n = Reach.num_states c.graph in

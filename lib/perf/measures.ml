@@ -7,6 +7,11 @@ module Lin = Tpan_symbolic.Linexpr
 module Poly = Tpan_symbolic.Poly
 module Rf = Tpan_symbolic.Ratfun
 
+let transition tpn name =
+  match Net.trans_of_name (Tpn.net tpn) name with
+  | t -> t
+  | exception Not_found -> invalid_arg (Printf.sprintf "unknown transition %S" name)
+
 let times_int field x n =
   let rec go acc n = if n = 0 then acc else go (field.Rates.add acc x) (n - 1) in
   go field.Rates.zero n
@@ -57,8 +62,7 @@ module Concrete = struct
     Rates.solve ~field:Rates.q_field ~embed_prob:Fun.id ~embed_delay:Fun.id ?normalize_at dg
 
   let throughput (res : result) (g : Tpan_core.Concrete.Graph.graph) name =
-    let t = Net.trans_of_name (Tpn.net g.Sem.tpn) name in
-    throughput_of_transition res ~by:`Completed t
+    throughput_of_transition res ~by:`Completed (transition g.Sem.tpn name)
 
   let utilization (res : result) ~(graph : Tpan_core.Concrete.Graph.graph) pred =
     (* Time is spent only on advance steps; attribute each step's delay to
@@ -88,8 +92,7 @@ module Symbolic = struct
     Rates.solve ~field:Rates.ratfun_field ~embed_prob:Fun.id ~embed_delay ?normalize_at dg
 
   let throughput (res : result) (g : Tpan_core.Symbolic.Graph.graph) name =
-    let t = Net.trans_of_name (Tpn.net g.Sem.tpn) name in
-    Rf.reduce (throughput_of_transition res ~by:`Completed t)
+    Rf.reduce (throughput_of_transition res ~by:`Completed (transition g.Sem.tpn name))
 
   let env_of_bindings bindings v =
     match List.assoc_opt (Var.name v) bindings with

@@ -6,6 +6,10 @@
 
 module Net = Tpan_petri.Net
 
+val transition : Tpan_core.Tpn.t -> string -> Net.trans
+(** The net's transition of that name.
+    @raise Invalid_argument [unknown transition "name"] if there is none. *)
+
 val throughput_of_transition :
   ('t, 'p, 'f) Rates.result -> by:[ `Fired | `Completed ] -> Net.trans -> 'f
 (** Long-run firings (or completions) of the transition per unit time:
@@ -33,7 +37,8 @@ module Concrete : sig
       @raise Rates.Unsolvable, @raise Decision_graph.Deterministic_cycle *)
 
   val throughput : result -> Tpan_core.Concrete.Graph.graph -> string -> Tpan_mathkit.Q.t
-  (** Completions of the named transition per unit time. *)
+  (** Completions of the named transition per unit time.
+      @raise Invalid_argument for an unknown transition name *)
 
   val utilization :
     result ->
@@ -55,7 +60,8 @@ module Symbolic : sig
 
   val throughput : result -> Tpan_core.Symbolic.Graph.graph -> string -> Tpan_symbolic.Ratfun.t
   (** The paper's headline deliverable: a closed-form throughput expression
-      in the net's time and frequency symbols. *)
+      in the net's time and frequency symbols.
+      @raise Invalid_argument for an unknown transition name *)
 
   val eval_at :
     Tpan_symbolic.Ratfun.t -> (string * Tpan_mathkit.Q.t) list -> Tpan_mathkit.Q.t

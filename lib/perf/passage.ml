@@ -1,22 +1,13 @@
-module Q = Tpan_mathkit.Q
-module Net = Tpan_petri.Net
 module Sem = Tpan_core.Semantics
-module Tpn = Tpan_core.Tpn
 
-let mean_time_to_event (type f) ~(field : f Rates.field) ~embed_prob ~embed_delay
-    (g : ('t, 'p) Sem.graph) ~start ~event : f option =
+let mean_time_to_event ~(field : 'f Rates.field) ~embed_prob ~embed_delay
+    (g : ('t, 'p) Sem.graph) ~start ~event : 'f option =
   let n = Array.length g.Sem.states in
   if start < 0 || start >= n then invalid_arg "Passage.mean_time_to_event: bad start";
-  (* States from which the event is almost-surely reached: a state is good
-     if every... for expectations we need: from every state reachable from
-     [start] there is no escape into a sub-graph where the event can never
-     happen. First compute [can]: states with SOME path to an event edge;
-     if a state reachable from start has an edge into a component that
-     cannot reach the event, the expectation diverges — detect by requiring
-     every reachable state to satisfy [can]. (A transient positive-
-     probability escape also diverges; full almost-sure analysis reduces to
-     this check for the exact chains we build, where all probabilities are
-     positive on existing edges.) *)
+  (* The expectation is finite iff every state [start] reaches before the
+     event still has a path to an event edge ([can]). Every edge of the
+     chains built here has positive probability, so a state without one
+     is a positive-probability escape and the expectation diverges. *)
   let can = Array.make n false in
   (* reverse reachability from event edges *)
   let incoming = Array.make n [] in
@@ -61,43 +52,34 @@ let mean_time_to_event (type f) ~(field : f Rates.field) ~embed_prob ~embed_dela
       g.Sem.out.(s)
   done;
   let relevant = List.filter (fun s -> reach.(s)) (List.init n Fun.id) in
-  if List.exists (fun s -> not can.(s)) relevant || relevant = [] then None
+  if List.exists (fun s -> not can.(s)) relevant then None
   else begin
-    (* index the relevant states *)
+    (* The renewal chain (DESIGN §11): every event edge leads back to
+       [start], every other edge keeps its destination. Each relevant
+       state reaches an event edge and [start] reaches each relevant
+       state, so the chain is irreducible; by the renewal-reward theorem
+       the mean time between events, [Σ_e r_e·d_e / Σ_{e event} r_e],
+       is the mean time from [start] to the first event. *)
     let idx = Array.make n (-1) in
     List.iteri (fun i s -> idx.(s) <- i) relevant;
-    let k = List.length relevant in
-    let a = Array.init k (fun _ -> Array.make k field.Rates.zero) in
-    let b = Array.make k field.Rates.zero in
-    List.iteri
-      (fun i s ->
-        a.(i).(i) <- field.Rates.one;
-        List.iter
-          (fun (e : _ Sem.edge) ->
-            let p = embed_prob e.Sem.prob in
-            b.(i) <- field.Rates.add b.(i) (field.Rates.mul p (embed_delay e.Sem.delay));
-            if not (event e) then begin
-              let j = idx.(e.Sem.dst) in
-              a.(i).(j) <- field.Rates.sub a.(i).(j) p
-            end)
-          g.Sem.out.(s))
-      relevant;
-    let module F = struct
-      type t = f
-
-      let zero = field.Rates.zero
-      let one = field.Rates.one
-      let is_zero = field.Rates.is_zero
-      let add = field.Rates.add
-      let sub = field.Rates.sub
-      let mul = field.Rates.mul
-      let div = field.Rates.div
-      let pp = field.Rates.pp
-    end in
-    let module LS = Tpan_mathkit.Sparse.Make (F) in
-    match LS.solve a b with
-    | LS.Unique h -> Some h.(idx.(start))
-    | LS.Underdetermined | LS.Inconsistent -> None
+    let edges = Array.of_list (List.concat_map (fun s -> g.Sem.out.(s)) relevant) in
+    let arcs =
+      Array.map
+        (fun (e : _ Sem.edge) ->
+          let dst = if event e then start else e.Sem.dst in
+          (idx.(e.Sem.src), idx.(dst), embed_prob e.Sem.prob))
+        edges
+    in
+    let _, r =
+      field.Rates.balance ~nodes:(List.length relevant) ~root:idx.(start) arcs
+    in
+    let time = ref field.Rates.zero and events = ref field.Rates.zero in
+    Array.iteri
+      (fun i (e : _ Sem.edge) ->
+        time := field.Rates.add !time (field.Rates.mul r.(i) (embed_delay e.Sem.delay));
+        if event e then events := field.Rates.add !events r.(i))
+      edges;
+    Some (field.Rates.div !time !events)
   end
 
 let concrete_latency g ?(start = 0) ~event () =
@@ -109,9 +91,9 @@ let symbolic_latency g ?(start = 0) ~event () =
     (mean_time_to_event ~field:Rates.ratfun_field ~embed_prob:Fun.id ~embed_delay g ~start ~event)
 
 let completion_event tpn name =
-  let t = Net.trans_of_name (Tpn.net tpn) name in
+  let t = Measures.transition tpn name in
   fun (e : _ Sem.edge) -> List.mem t e.Sem.completed
 
 let firing_event tpn name =
-  let t = Net.trans_of_name (Tpn.net tpn) name in
+  let t = Measures.transition tpn name in
   fun (e : _ Sem.edge) -> List.mem t e.Sem.fired

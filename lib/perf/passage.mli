@@ -3,13 +3,19 @@
     Beyond steady-state throughput, protocol designers ask "how long until
     X happens?": mean time from a state until the first occurrence of an
     event (a transition beginning or completing on some edge). The
-    expectations satisfy the linear system
+    expectations satisfy
 
     [h(s) = Σ_{e out of s} p_e · (d_e + (0 if e is the event else h(dst e)))]
 
-    solved exactly over ℚ for concrete graphs and over rational functions
-    for symbolic graphs — giving closed-form latency expressions in the
-    spirit of the paper's throughput derivation. *)
+    but that system is never assembled. Over the states [start] reaches
+    before the event, redirect every event edge to [start]: the result is
+    an irreducible renewal chain, and by the renewal-reward theorem
+    [h(start) = Σ_e r_e·d_e / Σ_{e event} r_e], the paper's throughput
+    quotient inverted. Its rates [r_e] come from the same
+    {!Rates.field.balance} that throughput uses: over ℚ for concrete
+    graphs, over ℚ[x] for symbolic ones, so a symbolic latency is in
+    lowest terms after one small gcd, and the solve honours deadlines.
+    [None] when the event is not almost surely reached. *)
 
 module Sem = Tpan_core.Semantics
 
@@ -30,7 +36,9 @@ val symbolic_latency :
 
 val completion_event :
   Tpan_core.Tpn.t -> string -> ('t, 'p) Sem.edge -> bool
-(** Event: the named transition finishes firing on this edge. *)
+(** Event: the named transition finishes firing on this edge.
+    @raise Invalid_argument for an unknown transition name *)
 
 val firing_event : Tpan_core.Tpn.t -> string -> ('t, 'p) Sem.edge -> bool
-(** Event: the named transition begins firing on this edge. *)
+(** Event: the named transition begins firing on this edge.
+    @raise Invalid_argument for an unknown transition name *)

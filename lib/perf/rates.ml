@@ -6,35 +6,25 @@ exception Unsolvable of string
 
 type 'f field = {
   zero : 'f;
-  one : 'f;
-  is_zero : 'f -> bool;
   add : 'f -> 'f -> 'f;
-  sub : 'f -> 'f -> 'f;
   mul : 'f -> 'f -> 'f;
   div : 'f -> 'f -> 'f;
-  pp : Format.formatter -> 'f -> unit;
   balance : nodes:int -> root:int -> (int * int * 'f) array -> 'f array * 'f array;
 }
 
 module QS = Tpan_mathkit.Sparse.Make (Q)
 
-(* Balance equations v(n) = Σ_{e: dst = n} p_e · v(src e), eliminated
-   over ℚ; the row for the normalization node is replaced by v(n0) = 1. *)
+(* Balance equations v(n) = Σ_{e: dst = n} p_e · v(src e) in row form,
+   eliminated over ℚ; the row for the normalization node is replaced by
+   v(n0) = 1. *)
 let eliminate ~nodes:k ~root:i0 arcs =
-  let a = Array.init k (fun _ -> Array.make k Q.zero) in
-  let b = Array.make k Q.zero in
-  for i = 0 to k - 1 do
-    if i = i0 then begin
-      a.(i).(i0) <- Q.one;
-      b.(i) <- Q.one
-    end
-    else begin
-      a.(i).(i) <- Q.one;
-      Array.iter (fun (src, dst, p) -> if dst = i then a.(i).(src) <- Q.sub a.(i).(src) p) arcs
-    end
-  done;
+  let rows = Array.init k (fun i -> [ (i, Q.one) ]) in
+  Array.iter
+    (fun (src, dst, p) -> if dst <> i0 then rows.(dst) <- (src, Q.neg p) :: rows.(dst))
+    arcs;
+  let b = Array.init k (fun i -> if i = i0 then Q.one else Q.zero) in
   let v =
-    match QS.solve a b with
+    match QS.solve_rows ~ncols:k rows b with
     | QS.Unique v -> v
     | QS.Underdetermined ->
       raise (Unsolvable "rate equations underdetermined: decision graph not strongly connected")
@@ -89,13 +79,10 @@ let fraction_free ~nodes:k ~root:i0 arcs =
   ( Array.init k (fun i -> Rf.make (Poly.mul den.(i) y.(i)) c),
     Array.mapi (fun e (src, _, _) -> Rf.make (Poly.mul w.(e) y.(src)) c) arcs )
 
-let q_field =
-  { zero = Q.zero; one = Q.one; is_zero = Q.is_zero; add = Q.add; sub = Q.sub; mul = Q.mul;
-    div = Q.div; pp = Q.pp; balance = eliminate }
+let q_field = { zero = Q.zero; add = Q.add; mul = Q.mul; div = Q.div; balance = eliminate }
 
 let ratfun_field =
-  { zero = Rf.zero; one = Rf.one; is_zero = Rf.is_zero; add = Rf.add; sub = Rf.sub;
-    mul = Rf.mul; div = Rf.div; pp = Rf.pp; balance = fraction_free }
+  { zero = Rf.zero; add = Rf.add; mul = Rf.mul; div = Rf.div; balance = fraction_free }
 
 type ('t, 'p, 'f) result = {
   dg : ('t, 'p) Decision_graph.t;

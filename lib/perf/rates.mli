@@ -10,8 +10,10 @@
     The solver is generic over the coefficient field, so the same code
     yields the paper's symbolic rates (field = rational functions of the
     frequency symbols) and exact numeric rates (field = ℚ). Each field
-    solves its own equations ({!field.balance}):
-    - over ℚ by sparse Gaussian elimination;
+    solves its own equations ({!field.balance}), and that one solve serves
+    both throughput (below) and first-passage latency ({!Passage}, which
+    hands it a renewal chain on the reachability graph):
+    - over ℚ by sparse Gaussian elimination on row lists;
     - over ℚ(x) without leaving ℚ[x]. Each node's out-probabilities are
       written over one denominator, [p_e = w_e / D_n], and the system
       [D_n·y_n − Σ_{e→n} w_e·y_src(e) = 0] is solved by fraction-free
@@ -24,13 +26,9 @@
 
 type 'f field = {
   zero : 'f;
-  one : 'f;
-  is_zero : 'f -> bool;
   add : 'f -> 'f -> 'f;
-  sub : 'f -> 'f -> 'f;
   mul : 'f -> 'f -> 'f;
   div : 'f -> 'f -> 'f;
-  pp : Format.formatter -> 'f -> unit;
   balance : nodes:int -> root:int -> (int * int * 'f) array -> 'f array * 'f array;
       (** [balance ~nodes ~root arcs] solves the balance equations of a
           graph on nodes [0 … nodes-1] with one arc [(src, dst, p)] per
@@ -44,7 +42,7 @@ exception Unsolvable of string
     yields a singular system. *)
 
 val q_field : Tpan_mathkit.Q.t field
-(** Exact rationals; balance by {!Tpan_mathkit.Sparse} elimination. *)
+(** Exact rationals; balance by {!Tpan_mathkit.Sparse.Make.solve_rows}. *)
 
 val ratfun_field : Tpan_symbolic.Ratfun.t field
 (** Rational functions; balance by the fraction-free solve over ℚ[x]. *)

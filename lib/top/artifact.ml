@@ -1,6 +1,5 @@
 module Q = Tpan_mathkit.Q
 module Tpn = Tpan_core.Tpn
-module Net = Tpan_petri.Net
 module SG = Tpan_core.Symbolic
 module M = Tpan_perf.Measures
 module Sweep = Tpan_perf.Sweep
@@ -202,11 +201,7 @@ let closed_form ?max_states canonical ~transition =
       match symbolic ?max_states canonical with
       | Error e -> Error e
       | Ok (g, res) ->
-        Error.guard (fun () ->
-            match M.Symbolic.throughput res g transition with
-            | thr -> thr
-            | exception Not_found ->
-              invalid_arg (Printf.sprintf "unknown transition %S" transition)))
+        Error.guard (fun () -> M.Symbolic.throughput res g transition))
 
 (* Point evaluations are memoized too: on large nets the exact rational
    evaluation of the closed form dominates a served request, and the
@@ -271,15 +266,10 @@ let analysis ?max_states ?(throughputs = []) canonical =
 let simulate ?(seed = 42) ?(runs = 1) ~horizon ~transitions canonical =
   Error.guard (fun () ->
       let tpn = Canonical.tpn canonical in
-      let net = Tpn.net tpn in
       let throughputs =
         List.map
           (fun name ->
-            let t =
-              try Net.trans_of_name net name
-              with Not_found ->
-                invalid_arg (Printf.sprintf "unknown transition %S" name)
-            in
+            let t = M.transition tpn name in
             if runs <= 1 then begin
               let stats = Sim.run ~seed ~horizon tpn in
               ( name,

@@ -479,7 +479,28 @@ let test_error_paths () =
   Alcotest.(check bool) "lists available models" true (contains out "stopwait");
   let rc2, out2 = run_capture "analyze /nonexistent.tpn" in
   Alcotest.(check bool) "missing file fails" true (rc2 <> 0);
-  ignore out2
+  ignore out2;
+  (* an unknown transition name is an input error (exit 2), never an
+     uncaught exception *)
+  List.iter
+    (fun args ->
+      let rc, out = run_capture args in
+      Alcotest.(check int) (args ^ ": exit code") 2 rc;
+      Alcotest.(check bool)
+        (args ^ ": names the transition")
+        true
+        (contains out {|unknown transition "nosuch"|}))
+    [
+      "analyze -m stopwait -t nosuch";
+      "analyze -m stopwait -t nosuch --json";
+      "symbolic -m stopwait-sym -t nosuch";
+      "latency -m stopwait -e nosuch";
+      "report -m stopwait -e nosuch";
+    ];
+  let rc3, out3 = run_capture "sweep -m stopwait --vary timeout=250..1000:2 -t nosuch" in
+  Alcotest.(check int) "sweep keeps per-row errors" 0 rc3;
+  Alcotest.(check bool) "sweep rows name the transition" true
+    (contains out3 {|error: unknown transition "nosuch"|})
 
 let suite =
   ( "cli",

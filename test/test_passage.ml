@@ -1,6 +1,7 @@
 (* Tests for first-passage (latency) analysis: hand-computed expectations,
    symbolic/concrete agreement, simulation agreement, divergence
-   detection. *)
+   detection; and the renewal-chain solve against the direct
+   first-passage system, on every builtin and on generated nets. *)
 
 module Q = Tpan_mathkit.Q
 module Net = Tpan_petri.Net
@@ -12,6 +13,10 @@ module SG = Tpan_core.Symbolic
 module P = Tpan_perf.Passage
 module Sim = Tpan_sim.Simulator
 module SW = Tpan_protocols.Stopwait
+module Poly = Tpan_symbolic.Poly
+module Rf = Tpan_symbolic.Ratfun
+module M = Tpan_perf.Measures
+module QS = Tpan_mathkit.Sparse.Make (Q)
 
 let qd = Q.of_decimal_string
 
@@ -146,6 +151,133 @@ let test_latency_agrees_with_simulation () =
   Alcotest.(check bool) "latency below mean inter-delivery time" true
     (exact < Q.to_float stats.Sim.sim_time /. float_of_int stats.Sim.completed.(t6))
 
+(* The direct first-passage system over ℚ, kept as the reference for the
+   renewal-chain solve:
+
+     h(s) = Σ_{e out of s} p_e·(d_e + [e not an event]·h(dst e))
+
+   over the states the initial state reaches before the event, in row
+   form (batch's TRG has 474 states). A deadlock among them, or a
+   singular system, means the event is not almost surely reached. *)
+let reference (g : CG.Graph.graph) ~event =
+  let n = Array.length g.Sem.states in
+  let idx = Array.make n (-1) and states = ref [] and k = ref 0 in
+  let rec visit s =
+    if idx.(s) < 0 then begin
+      idx.(s) <- !k;
+      incr k;
+      states := s :: !states;
+      List.iter (fun (e : _ Sem.edge) -> if not (event e) then visit e.Sem.dst) g.Sem.out.(s)
+    end
+  in
+  visit 0;
+  if List.exists (fun s -> g.Sem.out.(s) = []) !states then None
+  else begin
+    let rows = Array.make !k [] and b = Array.make !k Q.zero in
+    List.iter
+      (fun s ->
+        let i = idx.(s) in
+        rows.(i) <- [ (i, Q.one) ];
+        List.iter
+          (fun (e : _ Sem.edge) ->
+            b.(i) <- Q.add b.(i) (Q.mul e.Sem.prob e.Sem.delay);
+            if not (event e) then rows.(i) <- (idx.(e.Sem.dst), Q.neg e.Sem.prob) :: rows.(i))
+          g.Sem.out.(s))
+      !states;
+    match QS.solve_rows ~ncols:!k rows b with
+    | QS.Unique h -> Some h.(idx.(0))
+    | QS.Underdetermined | QS.Inconsistent -> None
+  end
+
+let builtin name = (Option.get (Tpan.Models.find name)).Tpan.Models.make []
+let transitions tpn = List.map (Net.trans_name (Tpn.net tpn)) (Net.transitions (Tpn.net tpn))
+
+let show = function None -> "infinite" | Some q -> Q.to_string q
+
+let same_latency what expected got =
+  match (expected, got) with
+  | None, None -> ()
+  | Some a, Some b when Q.equal a b -> ()
+  | _ -> Alcotest.failf "%s: expected %s, got %s" what (show expected) (show got)
+
+let test_concrete_matches_reference () =
+  List.iter
+    (fun name ->
+      let tpn = builtin name in
+      let g = CG.build tpn in
+      List.iter
+        (fun t ->
+          let event = P.completion_event tpn t in
+          same_latency (name ^ " " ^ t) (reference g ~event) (P.concrete_latency g ~event ()))
+        (transitions tpn))
+    [ "stopwait"; "abp"; "handshake"; "channel"; "ring"; "pipeline"; "batch" ]
+
+(* Every transition's symbolic latency, with its name. *)
+let symbolic_latencies tpn =
+  let g = SG.build tpn in
+  List.map
+    (fun t -> (t, P.symbolic_latency g ~event:(P.completion_event tpn t) ()))
+    (transitions tpn)
+
+let test_symbolic_matches_reference () =
+  let nets =
+    List.map (fun name -> (name, builtin name))
+      [ "stopwait-sym"; "abp-sym"; "handshake-sym"; "scheduler-sym"; "ring-sym" ]
+    @ List.init 50 (fun i ->
+          let seed = 100000 + i in
+          (Printf.sprintf "gen %d" seed, (Tpan_check.Gen.case ~seed).Tpan_check.Gen.tpn))
+  in
+  List.iter
+    (fun (name, tpn) ->
+      let point = Option.get (Tpan_check.Sampler.base_point tpn) in
+      let bound = Tpn.bind_times tpn point in
+      let g = CG.build bound in
+      List.iter
+        (fun (t, h) ->
+          let what = Printf.sprintf "%s %s" name t in
+          Option.iter
+            (fun h ->
+              let n = Rf.num h and d = Rf.den h in
+              if not (Poly.equal (Poly.gcd n d) Poly.one) then
+                Alcotest.failf "%s: latency is not in lowest terms" what;
+              if not (Q.equal (fst (Poly.monic_factor d)) Q.one) then
+                Alcotest.failf "%s: latency has a denominator that is not monic" what)
+            h;
+          same_latency what
+            (reference g ~event:(P.completion_event bound t))
+            (Option.map (fun h -> M.Symbolic.eval_at h point) h))
+        (symbolic_latencies tpn))
+    nets
+
+let test_abp_all_transitions () =
+  let abp_point = List.map (fun (k, v) -> (k, qd v)) Test_rates.abp_point in
+  let abp = builtin "abp" in
+  let g = CG.build abp in
+  let forms = symbolic_latencies (builtin "abp-sym") in
+  Alcotest.(check int) "one latency per transition" 18 (List.length forms);
+  List.iter
+    (fun (t, h) ->
+      same_latency ("abp-sym " ^ t ^ " at the paper's point")
+        (P.concrete_latency g ~event:(P.completion_event abp t) ())
+        (Option.map (fun h -> M.Symbolic.eval_at h abp_point) h))
+    forms
+
+let test_deadline_reaches_solve () =
+  let tpn = builtin "abp-sym" in
+  let g = SG.build tpn in
+  let event = P.completion_event tpn "lose_pkt0" in
+  let ctx = Tpan_obs.Context.make ~deadline:0.005 () in
+  match Tpan_obs.Context.with_ctx ctx (fun () -> P.symbolic_latency g ~event ()) with
+  | exception Tpan_obs.Cancel.Cancelled _ -> ()
+  | _ -> Alcotest.fail "a 5 ms deadline must cancel the latency solve"
+
+let test_unknown_transition () =
+  let tpn = SW.concrete SW.paper_params in
+  Alcotest.check_raises "completion_event" (Invalid_argument "unknown transition \"nosuch\"")
+    (fun () -> ignore (P.completion_event tpn "nosuch" : (Q.t, Q.t) Sem.edge -> bool));
+  Alcotest.check_raises "firing_event" (Invalid_argument "unknown transition \"nosuch\"")
+    (fun () -> ignore (P.firing_event tpn "nosuch" : (Q.t, Q.t) Sem.edge -> bool))
+
 let suite =
   ( "passage",
     [
@@ -156,4 +288,11 @@ let suite =
       Alcotest.test_case "unreachable event diverges" `Quick test_unreachable_event;
       Alcotest.test_case "probabilistic escape diverges" `Quick test_possibly_escaping_event;
       Alcotest.test_case "latency consistent with simulation" `Slow test_latency_agrees_with_simulation;
+      Alcotest.test_case "concrete builtins = direct system" `Quick test_concrete_matches_reference;
+      Alcotest.test_case "symbolic latencies = direct system at the base point" `Quick
+        test_symbolic_matches_reference;
+      Alcotest.test_case "all 18 ABP latencies at the paper's point" `Quick
+        test_abp_all_transitions;
+      Alcotest.test_case "deadline reaches the latency solve" `Quick test_deadline_reaches_solve;
+      Alcotest.test_case "unknown transition is an input error" `Quick test_unknown_transition;
     ] )

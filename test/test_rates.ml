@@ -17,7 +17,7 @@ module DG = Tpan_perf.Decision_graph
 module Rates = Tpan_perf.Rates
 module M = Tpan_perf.Measures
 
-module LS = Tpan_mathkit.Sparse.Make (struct
+module LS = Tpan_mathkit.Linsolve.Make (struct
   type t = Rf.t
 
   let zero = Rf.zero

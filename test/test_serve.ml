@@ -33,6 +33,17 @@ let test_healthz_and_routing () =
   Alcotest.(check int) "wrong method 405" 405 (handle "GET" "/eval" "").Serve.status;
   Alcotest.(check int) "bad JSON 400" 400 (handle "POST" "/eval" "not json").Serve.status;
   Alcotest.(check int) "missing net 400" 400 (handle "POST" "/eval" "{}").Serve.status;
+  let r =
+    handle "POST" "/analyze" {|{"model":"stopwait","throughputs":["nosuch"]}|}
+  in
+  Alcotest.(check int) "unknown transition 400" 400 r.Serve.status;
+  let doc = parse_body r in
+  Alcotest.(check bool) "names the transition" true
+    (field doc "error" = J.Str {|unknown transition "nosuch"|});
+  Alcotest.(check bool) "input-error exit code" true (field doc "exit_code" = J.Int 2);
+  (match field doc "net_hash" with
+   | J.Str h -> Alcotest.(check int) "error envelope carries the net hash" 32 (String.length h)
+   | _ -> Alcotest.fail "net_hash must be a string");
   let r = handle "GET" "/metrics" "" in
   Alcotest.(check int) "metrics 200" 200 r.Serve.status
 

@@ -25,6 +25,7 @@ module F = struct
 end
 
 module S = Tpan_mathkit.Sparse.Make (F)
+module D = Tpan_mathkit.Linsolve.Make (F)
 
 let qi = Q.of_int
 
@@ -54,22 +55,20 @@ let rows_of_dense ~split rng a =
       !entries)
     a
 
+let of_dense = function
+  | D.Unique x -> S.Unique x
+  | D.Underdetermined -> S.Underdetermined
+  | D.Inconsistent -> S.Inconsistent
+
 let agree name dense_outcome sparse_outcome =
-  match (dense_outcome, sparse_outcome) with
-  | S.Dense.Unique x, S.Unique y ->
+  match (of_dense dense_outcome, sparse_outcome) with
+  | S.Unique x, S.Unique y ->
     Alcotest.(check bool)
       (name ^ ": unique solutions bit-identical")
       true
       (Array.length x = Array.length y && Array.for_all2 Q.equal x y)
-  | S.Dense.Underdetermined, S.Underdetermined | S.Dense.Inconsistent, S.Inconsistent -> ()
-  | d, s ->
-    Alcotest.failf "%s: dense %s but sparse %s" name
-      (outcome_label
-         (match d with
-         | S.Dense.Unique x -> S.Unique x
-         | S.Dense.Underdetermined -> S.Underdetermined
-         | S.Dense.Inconsistent -> S.Inconsistent))
-      (outcome_label s)
+  | S.Underdetermined, S.Underdetermined | S.Inconsistent, S.Inconsistent -> ()
+  | d, s -> Alcotest.failf "%s: dense %s but sparse %s" name (outcome_label d) (outcome_label s)
 
 (* one random system: size 1..8, ~40% fill, entries in [-5, 5], rhs either
    planted (consistent) or random (any outcome) *)
@@ -95,7 +94,7 @@ let random_case rng i =
     else Array.init n (fun _ -> qi (Random.State.int rng 7 - 3))
   in
   let name = Printf.sprintf "case %d (n=%d)" i n in
-  agree name (S.Dense.solve a b) (S.solve_rows ~ncols:n (rows_of_dense ~split:true rng a) b)
+  agree name (D.solve a b) (S.solve_rows ~ncols:n (rows_of_dense ~split:true rng a) b)
 
 let test_differential () =
   (* seeded: the same 300 systems every run *)
@@ -124,9 +123,9 @@ let test_duplicate_columns_cancel () =
   | o -> Alcotest.failf "cancelling duplicates: expected underdetermined, got %s" (outcome_label o)
 
 let test_large_sparse_path () =
-  (* a system big and sparse enough that [S.solve] takes the sparse path
-     (>= sparse_min_rows, fill < max_fill): bidiagonal, planted solution *)
-  let n = Tpan_mathkit.Sparse.sparse_min_rows + 8 in
+  (* a 72-row bidiagonal system with a planted solution, given to
+     [solve_rows] as one row list per equation *)
+  let n = 72 in
   let a = Array.make_matrix n n Q.zero in
   for i = 0 to n - 1 do
     a.(i).(i) <- qi 2;
@@ -139,7 +138,10 @@ let test_large_sparse_path () =
         if i > 0 then acc := Q.add !acc (Q.mul (qi (-1)) x.(i - 1));
         !acc)
   in
-  agree "large bidiagonal" (S.Dense.solve a b) (S.solve a b)
+  let rows =
+    Array.init n (fun i -> if i > 0 then [ (i, qi 2); (i - 1, qi (-1)) ] else [ (i, qi 2) ])
+  in
+  agree "large bidiagonal" (D.solve a b) (S.solve_rows ~ncols:n rows b)
 
 let test_column_out_of_range () =
   Alcotest.check_raises "column out of range"
@@ -166,10 +168,10 @@ let prop_matches_dense =
             !acc)
           a
       in
-      match (S.Dense.solve a b, S.solve_rows ~ncols:n sparse_rows b) with
-      | S.Dense.Unique x, S.Unique y -> Array.for_all2 Q.equal x y
-      | S.Dense.Underdetermined, S.Underdetermined -> true
-      | S.Dense.Inconsistent, S.Inconsistent -> true
+      match (of_dense (D.solve a b), S.solve_rows ~ncols:n sparse_rows b) with
+      | S.Unique x, S.Unique y -> Array.for_all2 Q.equal x y
+      | S.Underdetermined, S.Underdetermined -> true
+      | S.Inconsistent, S.Inconsistent -> true
       | _ -> false)
 
 let suite =
