@@ -579,23 +579,11 @@ let ext_pipe () =
   Format.printf "  TRG: %d states; up to %d hops firing concurrently@."
     (CG.Graph.num_states g) max_active;
   check "true concurrency (>= 3 simultaneous firings)" (max_active >= 3);
-  (match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-   | Some (period, states) ->
-     let t = Net.trans_of_name (Tpn.net tpn) PL.t_deliver in
-     let deliveries =
-       List.fold_left
-         (fun acc s ->
-           match g.Sem.out.(s) with
-           | [ e ] -> acc + List.length (List.filter (( = ) t) e.Sem.completed)
-           | _ -> acc)
-         0 states
-     in
-     let per_packet = Q.div period (Q.of_int deliveries) in
-     Format.printf "  steady cycle: %s ms per packet (bottleneck bound %s)@." (qf per_packet)
-       (qf (PL.bottleneck p));
-     check "pacing = worst adjacent-hop sum (marked-graph bound)"
-       (Q.equal per_packet (PL.bottleneck p))
-   | None -> check "pipeline reaches a steady cycle" false);
+  let per_packet = Q.inv (M.Concrete.throughput (M.Concrete.analyze g) g PL.t_deliver) in
+  Format.printf "  steady cycle: %s ms per packet (bottleneck bound %s)@." (qf per_packet)
+    (qf (PL.bottleneck p));
+  check "pacing = worst adjacent-hop sum (marked-graph bound)"
+    (Q.equal per_packet (PL.bottleneck p));
   let stats = Sim.run ~seed:3 ~horizon:(Q.of_int 200_000) tpn in
   let sim = Sim.throughput stats (Net.trans_of_name (Tpn.net tpn) PL.t_deliver) in
   Format.printf "  simulated: %.6f pkt/ms@." sim;

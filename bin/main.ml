@@ -551,15 +551,9 @@ let analyze_cmd =
              (fun name ->
                let thr = M.Concrete.throughput res g name in
                Format.printf "throughput(%s): %s per time unit (period %s)@." name (qf thr)
-                 (qf (Q.inv thr)))
+                 (if Q.is_zero thr then "inf" else qf (Q.inv thr)))
              throughputs
-         | exception Rates.Unsolvable msg -> Format.printf "steady state: %s@." msg
-         | exception DG.Deterministic_cycle _ ->
-           (match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-            | Some (cycle, states) ->
-              Format.printf "deterministic cycle through %d states, period %s@."
-                (List.length states) (qf cycle)
-            | None -> Format.printf "terminates (no steady state)@."));
+         | exception Rates.Unsolvable msg -> Format.printf "steady state: %s@." msg);
         Format.print_flush ())
   in
   Cmd.v
@@ -1084,8 +1078,6 @@ let profile_cmd =
               match M.Concrete.analyze g with
               | (_ : M.Concrete.result) -> None
               | exception Rates.Unsolvable msg -> Some msg
-              | exception DG.Deterministic_cycle _ ->
-                Some "deterministic from some decision node on (no rate solve)"
             in
             (CG.Graph.num_states g, CG.Graph.num_edges g, note)
           end
@@ -1095,8 +1087,6 @@ let profile_cmd =
               match M.Symbolic.analyze g with
               | (_ : M.Symbolic.result) -> None
               | exception Rates.Unsolvable msg -> Some msg
-              | exception DG.Deterministic_cycle _ ->
-                Some "deterministic from some decision node on (no rate solve)"
             in
             (SG.Graph.num_states g, SG.Graph.num_edges g, note)
           end

@@ -14,33 +14,12 @@ module Abp = Tpan_protocols.Abp
 module SW = Tpan_protocols.Stopwait
 
 (* Analytic completion rate of the named transitions. Lossless parameters
-   make the whole system deterministic (no decision nodes), in which case we
-   count completions around the unique cycle instead. *)
+   make the whole system one deterministic cycle, which the decision graph
+   solves through a renewal node like any other. *)
 let completion_rate tpn names =
   let g = CG.build tpn in
-  let net = Tpn.net tpn in
-  let ts = List.map (Net.trans_of_name net) names in
-  match M.Concrete.analyze g with
-  | res ->
-    List.fold_left
-      (fun acc t -> Q.add acc (M.throughput_of_transition res ~by:`Completed t))
-      Q.zero ts
-  | exception (Tpan_perf.Rates.Unsolvable _ | Tpan_perf.Decision_graph.Deterministic_cycle _) ->
-    (match Tpan_perf.Decision_graph.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-     | None -> Q.zero
-     | Some (period, cycle_states) ->
-       let count =
-         List.fold_left
-           (fun acc s ->
-             match g.Tpan_core.Semantics.out.(s) with
-             | [ e ] ->
-               acc
-               + List.length
-                   (List.filter (fun t -> List.mem t ts) e.Tpan_core.Semantics.completed)
-             | _ -> acc)
-           0 cycle_states
-       in
-       Q.div (Q.of_int count) period)
+  let res = M.Concrete.analyze g in
+  List.fold_left (fun acc name -> Q.add acc (M.Concrete.throughput res g name)) Q.zero names
 
 let abp_throughput p = completion_rate (Abp.concrete p) Abp.deliveries
 let stopwait_throughput p = completion_rate (SW.concrete p) [ SW.t_process_ack ]

@@ -70,25 +70,26 @@ let m_points = Tpan_obs.Metrics.counter "tpan_check_points_total"
 let m_disagreements = Tpan_obs.Metrics.counter "tpan_check_disagreements_total"
 let m_skipped = Tpan_obs.Metrics.counter "tpan_check_skipped_points_total"
 
-(* lib/check sits below the facade, so the perf-layer exceptions are
-   classified here rather than through [Tpan.Error.of_exn]. *)
-let classify_exn = function
-  | e when Error.of_exn e <> None -> Option.get (Error.of_exn e)
-  | Rates.Unsolvable msg -> Error.Unsolvable msg
-  | DG.Deterministic_cycle c -> Error.Deterministic_cycle c
-  | Division_by_zero -> Error.Unsupported "division by zero during evaluation"
-  | Invalid_argument msg -> Error.Invalid_input msg
-  | e -> raise e
+(* lib/check sits below the facade, so exceptions are classified with
+   the perf layer's [Errors.of_exn] rather than [Tpan.Error.of_exn]. *)
+let classify_exn e =
+  match Tpan_perf.Errors.of_exn e with
+  | Some err -> err
+  | None -> (
+    match e with
+    | Division_by_zero -> Error.Unsupported "division by zero during evaluation"
+    | Invalid_argument msg -> Error.Invalid_input msg
+    | e -> raise e)
 
-let describe_exn = function
-  | e when Error.of_exn e <> None ->
-    Error.to_string (Option.get (Error.of_exn e))
-  | Rates.Unsolvable msg -> "rate equations unsolvable: " ^ msg
-  | DG.Deterministic_cycle _ -> "deterministic cycle: no decision nodes on the walk"
-  | Division_by_zero -> "division by zero during evaluation"
-  | Failure msg | Invalid_argument msg -> msg
-  | Not_found -> "unknown transition or unbound variable"
-  | e -> Printexc.to_string e
+let describe_exn e =
+  match Tpan_perf.Errors.of_exn e with
+  | Some err -> Error.to_string err
+  | None -> (
+    match e with
+    | Division_by_zero -> "division by zero during evaluation"
+    | Failure msg | Invalid_argument msg -> msg
+    | Not_found -> "unknown transition or unbound variable"
+    | e -> Printexc.to_string e)
 
 (* One evaluation of all three legs at a point. [expr] is the symbolic
    closed form when the net is symbolic (or an injected override);

@@ -5,7 +5,6 @@ type t =
   | Insufficient of { lhs : string; rhs : string; hint : string }
   | State_limit of int
   | Unsolvable of string
-  | Deterministic_cycle of int list
   | Parse_error of { line : int; col : int; msg : string }
   | Io_error of string
   | Invalid_input of string
@@ -19,8 +18,6 @@ let to_string = function
     Printf.sprintf "state budget exhausted: exploration truncated at %d states (raise --max-states)"
       n
   | Unsolvable msg -> Printf.sprintf "rate equations unsolvable: %s" msg
-  | Deterministic_cycle _ ->
-    "the system is deterministic from some decision node on; use the cycle analysis"
   | Parse_error { line; col; msg } ->
     Printf.sprintf "parse error at line %d, column %d: %s" line col msg
   | Io_error msg -> msg
@@ -30,7 +27,7 @@ let to_string = function
 let exit_code = function
   | Unsupported _ | Parse_error _ | Io_error _ | Invalid_input _ -> 2
   | Insufficient _ -> 3
-  | Unsolvable _ | Deterministic_cycle _ -> 4
+  | Unsolvable _ -> 4
   | State_limit _ -> 5
   | Deadline_exceeded _ -> 6
 

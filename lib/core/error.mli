@@ -25,9 +25,6 @@ type t =
       (** Exploration truncated at the given state budget. *)
   | Unsolvable of string
       (** The traversal-rate equations have no unique solution. *)
-  | Deterministic_cycle of int list
-      (** Decision-graph collapse found the system deterministic from some
-          node on; the cycle analysis applies instead. *)
   | Parse_error of { line : int; col : int; msg : string }
   | Io_error of string
   | Invalid_input of string
@@ -43,7 +40,7 @@ val to_string : t -> string
 val exit_code : t -> int
 (** Stable process exit code: 2 for input-side errors ([Unsupported],
     [Parse_error], [Io_error], [Invalid_input]), 3 for [Insufficient],
-    4 for [Unsolvable] and [Deterministic_cycle], 5 for [State_limit],
+    4 for [Unsolvable], 5 for [State_limit],
     6 for [Deadline_exceeded]. *)
 
 val of_exn : exn -> t option

@@ -15,43 +15,71 @@ type ('t, 'p) dedge = {
 
 type ('t, 'p) t = { nodes : int list; edges : ('t, 'p) dedge list }
 
-exception Deterministic_cycle of int list
-
 let m_nodes = Tpan_obs.Metrics.counter "perf.decision_graph.nodes"
 let m_edges = Tpan_obs.Metrics.counter "perf.decision_graph.edges"
 let m_collapsed = Tpan_obs.Metrics.counter "perf.decision_graph.states_collapsed"
 
+type mark = Unseen | On_walk | Done
+
+(* The smallest state of every cycle of single-successor states. Each
+   walk follows single successors from a state not yet seen; a walk that
+   meets its own trail has closed such a cycle. Every state is walked at
+   most once. *)
+let renewal_states (g : _ Semantics.graph) =
+  let mark = Array.make (Array.length g.Semantics.states) Unseen in
+  let found = ref [] in
+  (* the trail lists the walk's states latest first; the cycle that [cur]
+     closes is its prefix up to [cur] *)
+  let rec smallest cur m = function
+    | x :: rest when x <> cur -> smallest cur (min m x) rest
+    | _ -> m
+  in
+  let rec walk trail cur =
+    match (mark.(cur), g.Semantics.out.(cur)) with
+    | Unseen, [ e ] ->
+      mark.(cur) <- On_walk;
+      walk (cur :: trail) e.Semantics.dst
+    | m, _ ->
+      if m = On_walk then found := smallest cur cur trail :: !found;
+      List.iter (fun s -> mark.(s) <- Done) trail
+  in
+  for s = 0 to Array.length mark - 1 do
+    if mark.(s) = Unseen then walk [] s
+  done;
+  !found
+
 let of_graph ~add ~mul (g : ('t, 'p) Semantics.graph) =
   Tpan_obs.Trace.with_span "decision_graph.collapse" @@ fun sp ->
-  let nodes = Semantics.branching_states g in
-  let is_decision = Array.make (Array.length g.Semantics.states) false in
-  List.iter (fun i -> is_decision.(i) <- true) nodes;
-  (* Walk a deterministic chain from the head edge of a decision node until
-     the next decision node or a terminal state. *)
+  let is_node = Array.make (Array.length g.Semantics.states) false in
+  List.iter (fun i -> is_node.(i) <- true) (Semantics.branching_states g);
+  List.iter (fun i -> is_node.(i) <- true) (renewal_states g);
+  let nodes = List.filter (fun i -> is_node.(i)) (List.init (Array.length is_node) Fun.id) in
+  (* Walk a deterministic chain from the head edge of a node until the
+     next node or a terminal state. A renewal node's walk goes round its
+     cycle and back to itself. *)
   let collapse src (first : ('t, 'p) Semantics.edge) =
-    let rec go delay prob fired completed rev_path cur seen =
+    let rec go delay prob fired completed rev_path cur =
       Tpan_obs.Cancel.checkpoint ();
-      if is_decision.(cur) then
-        { src; dst = To cur; delay; prob; path = List.rev (cur :: rev_path);
+      let reach dst =
+        { src; dst; delay; prob; path = List.rev (cur :: rev_path);
           fired = List.rev fired; completed = List.rev completed }
+      in
+      if is_node.(cur) then reach (To cur)
       else
         match g.Semantics.out.(cur) with
-        | [] ->
-          { src; dst = Absorbed cur; delay; prob; path = List.rev (cur :: rev_path);
-            fired = List.rev fired; completed = List.rev completed }
+        | [] -> reach (Absorbed cur)
         | [ e ] ->
-          if List.mem cur seen then raise (Deterministic_cycle (List.rev rev_path));
           go (add delay e.Semantics.delay)
             (mul prob e.Semantics.prob)
             (List.rev_append e.Semantics.fired fired)
             (List.rev_append e.Semantics.completed completed)
-            (cur :: rev_path) e.Semantics.dst (cur :: seen)
-        | _ -> assert false (* multi-successor states are decision nodes *)
+            (cur :: rev_path) e.Semantics.dst
+        | _ -> assert false (* multi-successor states are nodes *)
     in
     go first.Semantics.delay first.Semantics.prob
       (List.rev first.Semantics.fired)
       (List.rev first.Semantics.completed)
-      [ src ] first.Semantics.dst []
+      [ src ] first.Semantics.dst
   in
   let edges =
     List.concat_map (fun n -> List.map (collapse n) g.Semantics.out.(n)) nodes
@@ -65,43 +93,6 @@ let of_graph ~add ~mul (g : ('t, 'p) Semantics.graph) =
   { nodes; edges }
 
 let is_absorbing dg = List.exists (fun e -> match e.dst with Absorbed _ -> true | To _ -> false) dg.edges
-
-let deterministic_cycle_of_graph ~add ~zero (g : ('t, 'p) Semantics.graph) =
-  let n = Array.length g.Semantics.states in
-  if n = 0 then None
-  else begin
-    let seen = Array.make n false in
-    let rec go cur rev_path =
-      if seen.(cur) then begin
-        (* find the loop portion and re-accumulate its delay *)
-        let path = List.rev rev_path in
-        let rec split = function
-          | [] -> []
-          | x :: rest -> if x = cur then x :: rest else split rest
-        in
-        let cycle = split path in
-        let delay = ref zero in
-        let rec walk = function
-          | [] -> ()
-          | x :: rest ->
-            (match g.Semantics.out.(x) with
-             | [ e ] -> delay := add !delay e.Semantics.delay
-             | _ -> ());
-            walk rest
-        in
-        walk cycle;
-        Some (!delay, cycle)
-      end
-      else begin
-        seen.(cur) <- true;
-        match g.Semantics.out.(cur) with
-        | [] -> None
-        | [ e ] -> go e.Semantics.dst (cur :: rev_path)
-        | _ -> invalid_arg "deterministic_cycle_of_graph: graph has decision nodes"
-      end
-    in
-    go 0 []
-  end
 
 let pp ~pp_delay ~pp_prob fmt dg =
   Format.pp_open_vbox fmt 0;

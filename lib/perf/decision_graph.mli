@@ -1,10 +1,16 @@
 (** Decision graphs (paper §2, Figure 5): the timed reachability graph
     collapsed onto its decision nodes.
 
-    Decision nodes are the states with more than one successor. Every
-    maximal chain of single-successor states between two decision nodes
-    becomes one edge, whose delay is the sum of the chain's delays and whose
-    probability is the branching probability of its first step.
+    Decision nodes are the states with more than one successor, plus one
+    {e renewal node} per cycle of single-successor states: the cycle's
+    smallest state. Every maximal chain of single-successor states between
+    two nodes becomes one edge, whose delay is the sum of the chain's
+    delays and whose probability is the branching probability of its first
+    step. A renewal node's one edge goes round its cycle back to itself:
+    probability 1, delay the cycle's period. So a net whose long-run
+    behaviour is deterministic (a marked graph, a lossless protocol) is
+    solved like any other renewal cycle. Every walk ends at a node or a
+    terminal state.
 
     Works for both concrete and symbolic graphs (delay/probability types are
     polymorphic; the caller supplies the accumulation operators). *)
@@ -17,7 +23,7 @@ type target =
   | Absorbed of int  (** a terminal state reached: the system halts *)
 
 type ('t, 'p) dedge = {
-  src : int;  (** decision-node state index in the underlying graph *)
+  src : int;  (** node state index in the underlying graph *)
   dst : target;
   delay : 't;  (** accumulated along the collapsed path *)
   prob : 'p;
@@ -27,31 +33,17 @@ type ('t, 'p) dedge = {
 }
 
 type ('t, 'p) t = {
-  nodes : int list;  (** decision-node state indices *)
+  nodes : int list;  (** node state indices, ascending *)
   edges : ('t, 'p) dedge list;
 }
-
-exception Deterministic_cycle of int list
-(** A walk from a decision node entered a cycle containing no decision node:
-    the system becomes deterministic forever and the decision-graph
-    abstraction does not apply (analyse it with
-    {!deterministic_cycle_of_graph} instead). *)
 
 val of_graph :
   add:('t -> 't -> 't) ->
   mul:('p -> 'p -> 'p) ->
   ('t, 'p) Semantics.graph ->
   ('t, 'p) t
-(** @raise Deterministic_cycle — see above. *)
 
 val is_absorbing : ('t, 'p) t -> bool
-
-val deterministic_cycle_of_graph :
-  add:('t -> 't -> 't) -> zero:'t -> ('t, 'p) Semantics.graph ->
-  ('t * int list) option
-(** For graphs with {e no} decision node: follow the unique run from the
-    initial state; [Some (cycle_time, cycle_states)] if it loops, [None] if
-    it terminates. *)
 
 val pp :
   pp_delay:(Format.formatter -> 't -> unit) ->

@@ -6,5 +6,4 @@ module Error = Tpan_core.Error
 
 let of_exn = function
   | Rates.Unsolvable msg -> Some (Error.Unsolvable msg)
-  | Decision_graph.Deterministic_cycle cycle -> Some (Error.Deterministic_cycle cycle)
   | e -> Error.of_exn e

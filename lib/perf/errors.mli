@@ -3,5 +3,5 @@
 module Error = Tpan_core.Error
 
 val of_exn : exn -> Error.t option
-(** Classifies [Rates.Unsolvable] and [Decision_graph.Deterministic_cycle],
-    then falls back to {!Tpan_core.Error.of_exn}. [None] for genuine bugs. *)
+(** Classifies [Rates.Unsolvable], then falls back to
+    {!Tpan_core.Error.of_exn}. [None] for genuine bugs. *)

@@ -34,7 +34,7 @@ module Concrete : sig
 
   val analyze : ?normalize_at:int -> Tpan_core.Concrete.Graph.graph -> result
   (** Decision graph + solved rates.
-      @raise Rates.Unsolvable, @raise Decision_graph.Deterministic_cycle *)
+      @raise Rates.Unsolvable *)
 
   val throughput : result -> Tpan_core.Concrete.Graph.graph -> string -> Tpan_mathkit.Q.t
   (** Completions of the named transition per unit time.

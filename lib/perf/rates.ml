@@ -146,7 +146,7 @@ let solve ~(field : 'f field) ~embed_prob ~embed_delay ?normalize_at
   Tpan_obs.Trace.add_attr_int sp "nodes" (List.length dg.Decision_graph.nodes);
   let nodes = Array.of_list dg.Decision_graph.nodes in
   let k = Array.length nodes in
-  if k = 0 then raise (Unsolvable "no decision nodes (deterministic system)");
+  if k = 0 then raise (Unsolvable "the system terminates: no steady state");
   if Decision_graph.is_absorbing dg then
     raise (Unsolvable "absorbing decision graph: the system can halt, steady-state rates do not exist");
   if not (strongly_connected dg) then

@@ -38,8 +38,8 @@ type 'f field = {
 }
 
 exception Unsolvable of string
-(** The decision graph is absorbing, not strongly connected, or otherwise
-    yields a singular system. *)
+(** The decision graph is empty (the run terminates), absorbing, not
+    strongly connected, or otherwise yields a singular system. *)
 
 val q_field : Tpan_mathkit.Q.t field
 (** Exact rationals; balance by {!Tpan_mathkit.Sparse.Make.solve_rows}. *)

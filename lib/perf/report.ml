@@ -79,16 +79,7 @@ let concrete ?max_states ?(events = []) fmt tpn =
          if not (Q.is_zero u) then
            Format.fprintf fmt "marked-time share %-10s %s@." (Net.place_name net p) (qf u))
        (Net.places net)
-   | exception (Rates.Unsolvable _ | Decision_graph.Deterministic_cycle _)
-     when Sem.branching_states g = [] ->
-     (match Decision_graph.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-      | Some (period, states) ->
-        Format.fprintf fmt "deterministic cycle: period %s over %d states@." (qf period)
-          (List.length states)
-      | None -> Format.fprintf fmt "the system terminates@.")
-   | exception Rates.Unsolvable msg -> Format.fprintf fmt "steady state: %s@." msg
-   | exception Decision_graph.Deterministic_cycle _ ->
-     Format.fprintf fmt "steady state: deterministic beyond some decision node@.");
+   | exception Rates.Unsolvable msg -> Format.fprintf fmt "steady state: %s@." msg);
   if events <> [] then begin
     header fmt "first-passage latencies";
     List.iter
@@ -125,9 +116,7 @@ let symbolic ?max_states ?(events = []) fmt tpn =
          if not (Rf.is_zero thr) then
            Format.fprintf fmt "completion rate %s = %a@." (Net.trans_name net t) Rf.pp thr)
        (Net.transitions net)
-   | exception Rates.Unsolvable msg -> Format.fprintf fmt "steady state: %s@." msg
-   | exception Decision_graph.Deterministic_cycle _ ->
-     Format.fprintf fmt "deterministic beyond some decision node@.");
+   | exception Rates.Unsolvable msg -> Format.fprintf fmt "steady state: %s@." msg);
   if events <> [] then begin
     header fmt "symbolic first-passage latencies";
     List.iter

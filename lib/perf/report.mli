@@ -8,8 +8,9 @@ val concrete :
     (P/T-invariants, minimal siphons, Commoner check), timed reachability
     statistics, decision-graph analysis with per-transition completion
     rates, place utilizations, and first-passage latencies for the given
-    [events] (default: none). Degrades gracefully for deterministic or
-    absorbing systems.
+    [events] (default: none). A net without a steady state (one that
+    terminates, can halt, or has no unique recurrent class) reports why
+    instead.
     @raise Tpan_core.Tpn.Unsupported on symbolic nets *)
 
 val symbolic :

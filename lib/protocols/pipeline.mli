@@ -7,8 +7,9 @@
     Figure-3 minimum computation. In steady state the line paces at the
     worst {e adjacent-hop} sum (a slot cannot be refilled while its
     downstream move is in progress — the marked-graph cycle-time bound):
-    throughput = 1 / {!bottleneck}, asserted against both the
-    deterministic-cycle analysis and the simulator. *)
+    throughput = 1 / {!bottleneck}, asserted against both the rate solve
+    (the cycle is one renewal node of the decision graph) and the
+    simulator. *)
 
 module Q = Tpan_mathkit.Q
 

@@ -411,6 +411,9 @@ let h_analyze config obj =
   let throughputs = str_list_field "throughputs" obj in
   match Tpan.Artifact.analysis ?max_states ~throughputs canonical with
   | Ok report ->
+    (* the cached report is content-addressed and name-free; the name
+       comes from the request, as the CLI's comes from [-m] *)
+    let report = { report with Tpan.Analysis.model = str_field "model" obj } in
     json 200
       (envelope ~kind:"analysis"
          ~net_hash:(Some (Tpan.Canonical.hash canonical))

@@ -81,8 +81,6 @@ type t = {
   consistent : bool;
   memo : verdict FormTbl.t;
   keys : KeyTbl.table;
-  memo_on : bool;
-  witness_on : bool;
   s : mutable_stats;
 }
 
@@ -119,7 +117,7 @@ let fresh_stats () =
     c_baseline = Metrics.Counter.create ();
   }
 
-let make ?(memo = true) ?(witness = true) cs =
+let make cs =
   Metrics.Counter.incr g_instances;
   let entries = Constraints.constraints cs in
   let parts = List.map (fun (_, rel, lhs, rhs) -> to_fm_parts rel lhs rhs) entries in
@@ -219,8 +217,6 @@ let make ?(memo = true) ?(witness = true) cs =
     consistent;
     memo = FormTbl.create 64;
     keys = KeyTbl.create 64;
-    memo_on = memo;
-    witness_on = witness;
     s = fresh_stats ();
   }
 
@@ -297,20 +293,18 @@ let decide o field d =
     in
     let key = KeyTbl.intern o.keys (L.scale (Q.inv (Q.abs k)) d) in
     let flipped = Q.sign k < 0 in
-    let cached = if o.memo_on then lookup o key flipped field else None in
-    match cached with
+    match lookup o key flipped field with
     | Some v ->
       bump o.s.c_hits g_hits;
       v
     | None ->
       bump o.s.c_misses g_misses;
       let refuted =
-        o.witness_on
-        && (match o.witness_env with
-            | None -> false
-            | Some env ->
-              let s = Q.sign (L.eval env d) in
-              (match field with Nonneg -> s < 0 | Pos -> s <= 0))
+        match o.witness_env with
+        | None -> false
+        | Some env ->
+          let s = Q.sign (L.eval env d) in
+          (match field with Nonneg -> s < 0 | Pos -> s <= 0)
       in
       let value =
         if refuted then begin
@@ -326,7 +320,7 @@ let decide o field d =
           in
           run_fm o goal_neg d
       in
-      if o.memo_on then remember o key flipped field value;
+      remember o key flipped field value;
       value
   end
 

@@ -26,9 +26,8 @@
 
 type t
 
-val make : ?memo:bool -> ?witness:bool -> Constraints.t -> t
-(** Preprocess a constraint system. [memo] and [witness] (default [true])
-    exist so benchmarks can measure each layer's contribution. *)
+val make : Constraints.t -> t
+(** Preprocess a constraint system. *)
 
 val compare_exprs : t -> Linexpr.t -> Linexpr.t -> Constraints.comparison
 (** Same verdicts as {!Constraints.compare_exprs}. *)

@@ -31,8 +31,7 @@ type report = {
   states : int;
   edges : int;
   decision_nodes : int;
-  mean_cycle_time : Q.t option;
-  deterministic_period : Q.t option;
+  mean_cycle_time : Q.t;
   throughputs : (string * Q.t) list;
 }
 
@@ -59,40 +58,15 @@ let compute ?max_states ?(throughputs = []) tpn =
   Error.guard
   @@ fun () ->
   let g = CG.build ?max_states tpn in
-  let states = CG.Graph.num_states g and edges = CG.Graph.num_edges g in
-  match M.Concrete.analyze g with
-  | res ->
-    {
-      model = None;
-      states;
-      edges;
-      decision_nodes = List.length res.Rates.dg.DG.nodes;
-      mean_cycle_time = Some res.Rates.total_weight;
-      deterministic_period = None;
-      throughputs = List.map (fun t -> (t, M.Concrete.throughput res g t)) throughputs;
-    }
-  | exception DG.Deterministic_cycle _ -> (
-    match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-    | Some (period, _states) ->
-      {
-        model = None;
-        states;
-        edges;
-        decision_nodes = 0;
-        mean_cycle_time = None;
-        deterministic_period = Some period;
-        throughputs = [];
-      }
-    | None ->
-      {
-        model = None;
-        states;
-        edges;
-        decision_nodes = 0;
-        mean_cycle_time = None;
-        deterministic_period = None;
-        throughputs = [];
-      })
+  let res = M.Concrete.analyze g in
+  {
+    model = None;
+    states = CG.Graph.num_states g;
+    edges = CG.Graph.num_edges g;
+    decision_nodes = List.length res.Rates.dg.DG.nodes;
+    mean_cycle_time = M.mean_cycle_time res;
+    throughputs = List.map (fun t -> (t, M.Concrete.throughput res g t)) throughputs;
+  }
 
 let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
@@ -102,32 +76,9 @@ let report_fields r =
     ("states", J.Int r.states);
     ("edges", J.Int r.edges);
     ("decision_nodes", J.Int r.decision_nodes);
-    ( "mean_cycle_time",
-      match r.mean_cycle_time with None -> J.Null | Some q -> J.Raw (qf q) );
-    ( "deterministic_period",
-      match r.deterministic_period with None -> J.Null | Some q -> J.Raw (qf q) );
+    ("mean_cycle_time", J.Raw (qf r.mean_cycle_time));
     ("throughputs", J.Obj (List.map (fun (t, v) -> (t, J.Raw (qf v))) r.throughputs));
   ]
 
 let report_to_json r =
   J.Obj (("schema", J.Int 1) :: ("kind", J.Str "analysis") :: report_fields r)
-
-let pp_report fmt r =
-  Format.fprintf fmt "@[<v>";
-  (match r.model with
-   | Some m -> Format.fprintf fmt "model: %s@," m
-   | None -> ());
-  Format.fprintf fmt "timed reachability graph: %d states, %d edges@," r.states r.edges;
-  Format.fprintf fmt "decision nodes: %d@," r.decision_nodes;
-  (match r.mean_cycle_time with
-   | Some q -> Format.fprintf fmt "mean cycle time: %s@," (qf q)
-   | None -> ());
-  (match r.deterministic_period with
-   | Some q -> Format.fprintf fmt "deterministic cycle, period %s@," (qf q)
-   | None -> ());
-  List.iter
-    (fun (t, v) ->
-      Format.fprintf fmt "throughput(%s): %s per time unit (period %s)@," t (qf v)
-        (qf (Q.inv v)))
-    r.throughputs;
-  Format.fprintf fmt "@]"

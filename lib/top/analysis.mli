@@ -30,12 +30,10 @@ type report = {
   states : int;  (** timed reachability graph *)
   edges : int;
   decision_nodes : int;
-  mean_cycle_time : Q.t option;
-      (** mean time per visit of the normalization node; [None] when the
-          behaviour is a deterministic cycle or terminates *)
-  deterministic_period : Q.t option;
-      (** period of the deterministic cycle, for nets with no recurring
-          decision; [None] otherwise *)
+      (** branching states plus renewal nodes (see {!Tpan_perf.Decision_graph}) *)
+  mean_cycle_time : Q.t;
+      (** mean time per visit of the normalization node; for a net whose
+          long-run behaviour is one deterministic cycle, its period *)
   throughputs : (string * Q.t) list;  (** completions per unit time *)
 }
 
@@ -44,9 +42,9 @@ val compute :
 (** The raw concrete pipeline, uncached and silent: TRG → decision
     graph → rate solve → measures. Concrete nets only ([Unsupported]
     for symbolic ones — bind their symbols first with
-    {!Tpn.bind_times}). A net that turns out to be
-    deterministic-cyclic is not an error: the report carries
-    [deterministic_period] instead of [mean_cycle_time].
+    {!Tpn.bind_times}). A deterministic cycle is one renewal node of
+    the decision graph and is solved like any other; a net without a
+    steady state is [Unsolvable].
 
     Callers normally want {!Artifact.analysis} (content-addressed,
     cached, notified) instead; [compute] is the function the artifact
@@ -71,5 +69,3 @@ val report_fields : report -> (string * Tpan_obs.Jsonv.t) list
 val report_to_json : report -> Tpan_obs.Jsonv.t
 (** Self-describing rendering ([{"schema": 1, "kind": "analysis", …}])
     — the shape run-ledger rows store as their report. *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -44,17 +44,17 @@ let caches_mutex = Mutex.create ()
 (* The report codec lives here rather than in [Tpan_cache.Codec]: the
    record is defined by this library, which the cache layer must not
    depend on. Exact throughout — every rational renders via
-   [Q.to_string] and parses back unchanged. *)
+   [Q.to_string] and parses back unchanged. Decoding ignores keys it
+   does not read, so lines written when the report carried one more
+   field still replay. *)
 let report_to_json (r : Analysis.report) =
-  let q_opt = function None -> J.Null | Some q -> Codec.q_to_json q in
   J.Obj
     [
       ("model", (match r.Analysis.model with None -> J.Null | Some m -> J.Str m));
       ("states", J.Int r.Analysis.states);
       ("edges", J.Int r.Analysis.edges);
       ("decision_nodes", J.Int r.Analysis.decision_nodes);
-      ("mean_cycle_time", q_opt r.Analysis.mean_cycle_time);
-      ("deterministic_period", q_opt r.Analysis.deterministic_period);
+      ("mean_cycle_time", Codec.q_to_json r.Analysis.mean_cycle_time);
       ( "throughputs",
         J.List
           (List.map
@@ -66,7 +66,6 @@ let report_of_json doc =
   let exception Bad in
   let need = function Some x -> x | None -> raise Bad in
   let int = function J.Int n -> n | _ -> raise Bad in
-  let q_opt = function J.Null -> None | j -> Some (need (Codec.q_of_json j)) in
   try
     Some
       {
@@ -78,8 +77,7 @@ let report_of_json doc =
         states = int (need (J.member "states" doc));
         edges = int (need (J.member "edges" doc));
         decision_nodes = int (need (J.member "decision_nodes" doc));
-        mean_cycle_time = q_opt (need (J.member "mean_cycle_time" doc));
-        deterministic_period = q_opt (need (J.member "deterministic_period" doc));
+        mean_cycle_time = need (Codec.q_of_json (need (J.member "mean_cycle_time" doc)));
         throughputs =
           (match need (J.member "throughputs" doc) with
           | J.List rows ->

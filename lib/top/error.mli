@@ -6,7 +6,6 @@ type t = Tpan_core.Error.t =
   | Insufficient of { lhs : string; rhs : string; hint : string }
   | State_limit of int
   | Unsolvable of string
-  | Deterministic_cycle of int list
   | Parse_error of { line : int; col : int; msg : string }
   | Io_error of string
   | Invalid_input of string

@@ -32,9 +32,33 @@ let check_run name args needles =
         (contains out needle))
     needles
 
+let write_temp_net src =
+  let path = Filename.temp_file "tpan_cli" ".tpn" in
+  let oc = open_out path in
+  output_string oc src;
+  close_out oc;
+  path
+
+(* [d] waits on a place that is never marked: it never completes, and
+   its period is infinite rather than a division by zero *)
+let dead_tpn =
+  {|net dead
+place a init 1
+place b
+place never
+trans x { in a; out b; fire 2; freq 1 }
+trans y { in a; out b; fire 3; freq 1 }
+trans z { in b; out a; fire 1 }
+trans d { in never; out a; fire 1 }
+|}
+
 let test_analyze_file () =
   check_run "analyze" (Printf.sprintf "analyze %s -t t7" stopwait_tpn)
-    [ "18 states"; "decision nodes: 3, 11"; "0.002851"; "350.649307" ]
+    [ "18 states"; "decision nodes: 3, 11"; "0.002851"; "350.649307" ];
+  let dead = write_temp_net dead_tpn in
+  check_run "analyze dead" (Printf.sprintf "analyze %s -t x -t d" dead)
+    [ "throughput(d): 0 per time unit (period inf)" ];
+  Sys.remove dead
 
 let test_symbolic_file () =
   check_run "symbolic" (Printf.sprintf "symbolic %s -t t7" symbolic_tpn)
@@ -120,7 +144,6 @@ let pinned_docs =
   "edges": 20,
   "decision_nodes": 2,
   "mean_cycle_time": 316.461,
-  "deterministic_period": null,
   "throughputs": {
     "t7": 0.002851
   }

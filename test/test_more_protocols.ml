@@ -108,25 +108,13 @@ let test_pipeline_pacing () =
   let p = PL.default_params in
   let tpn = PL.concrete p in
   let g = CG.build tpn in
-  match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-  | None -> Alcotest.fail "pipeline must reach a steady cycle"
-  | Some (period, cycle_states) ->
-    (* count deliveries around the cycle *)
-    let t = Net.trans_of_name (Tpn.net tpn) PL.t_deliver in
-    let deliveries =
-      List.fold_left
-        (fun acc s ->
-          match g.Sem.out.(s) with
-          | [ e ] -> acc + List.length (List.filter (( = ) t) e.Sem.completed)
-          | _ -> acc)
-        0 cycle_states
-    in
-    Alcotest.(check bool) "delivers at least once per cycle" true (deliveries >= 1);
-    let per_packet = Q.div period (Q.of_int deliveries) in
-    Alcotest.(check bool)
-      (Format.asprintf "per-packet %a = bottleneck %a" Q.pp per_packet Q.pp (PL.bottleneck p))
-      true
-      (Q.equal per_packet (PL.bottleneck p))
+  let res = M.Concrete.analyze g in
+  Alcotest.(check int) "one renewal node" 1 (List.length res.Tpan_perf.Rates.dg.DG.nodes);
+  let per_packet = Q.inv (M.Concrete.throughput res g PL.t_deliver) in
+  Alcotest.(check bool)
+    (Format.asprintf "per-packet %a = bottleneck %a" Q.pp per_packet Q.pp (PL.bottleneck p))
+    true
+    (Q.equal per_packet (PL.bottleneck p))
 
 let test_pipeline_sim () =
   let p = PL.default_params in
@@ -146,20 +134,40 @@ let test_pipeline_uniform () =
   Alcotest.(check bool) "uniform bottleneck = 2d" true (Q.equal (PL.bottleneck p) (Q.of_int 20));
   let tpn = PL.concrete p in
   let g = CG.build tpn in
-  match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-  | Some (period, states) ->
-    let t = Net.trans_of_name (Tpn.net tpn) PL.t_deliver in
-    let deliveries =
-      List.fold_left
-        (fun acc s ->
-          match g.Sem.out.(s) with
-          | [ e ] -> acc + List.length (List.filter (( = ) t) e.Sem.completed)
-          | _ -> acc)
-        0 states
-    in
-    Alcotest.(check bool) "one packet per 20ms" true
-      (Q.equal (Q.div period (Q.of_int deliveries)) (Q.of_int 20))
-  | None -> Alcotest.fail "expected cycle"
+  let thr = M.Concrete.throughput (M.Concrete.analyze g) g PL.t_deliver in
+  Alcotest.(check bool) "one packet per 20ms" true (Q.equal thr (Q.of_ints 1 20))
+
+(* The pipeline through the facade, the sweep engine and the checker:
+   its one renewal node answers on every path. *)
+let test_pipeline_every_path () =
+  let m = Option.get (Tpan.Models.find "pipeline") in
+  (match Tpan.Analysis.compute ~throughputs:[ PL.t_deliver ] (m.Tpan.Models.make []) with
+   | Ok r ->
+     Alcotest.(check int) "states" 13 r.Tpan.Analysis.states;
+     Alcotest.(check int) "one renewal node" 1 r.Tpan.Analysis.decision_nodes;
+     Alcotest.(check string) "mean cycle time" "35" (Q.to_string r.Tpan.Analysis.mean_cycle_time);
+     Alcotest.(check string) "deliver" "1/35"
+       (Q.to_string (List.assoc PL.t_deliver r.Tpan.Analysis.throughputs))
+   | Error e -> Alcotest.fail (Tpan.Error.to_string e));
+  let axes =
+    match Tpan_perf.Sweep.parse_axis "hop1=10..30:3" with
+    | Ok a -> [ a ]
+    | Error msg -> Alcotest.fail msg
+  in
+  let t = Tpan_perf.Sweep.over_tpn ~make:m.Tpan.Models.make ~throughputs:[ PL.t_deliver ] axes in
+  Alcotest.(check (list string)) "1/bottleneck at hop1 = 10, 20, 30" [ "1/35"; "1/45"; "1/55" ]
+    (List.map
+       (fun (row : Tpan_perf.Sweep.row) ->
+         Alcotest.(check bool) "no row error" true (row.Tpan_perf.Sweep.error = None);
+         Q.to_string (List.assoc "thr(deliver)" row.Tpan_perf.Sweep.values))
+       t.Tpan_perf.Sweep.rows);
+  let module CK = Tpan.Checker.Check in
+  let config = CK.quick CK.default in
+  match Tpan.Checker.check_source ~config (Tpan.Analysis.Builtin "pipeline") with
+  | Ok o ->
+    Alcotest.(check int) "no skipped point" 0 (List.length o.CK.skipped);
+    Alcotest.(check int) "the point agrees" o.CK.points o.CK.agreed
+  | Error e -> Alcotest.fail (Tpan.Error.to_string e)
 
 (* --- interval evaluation --- *)
 
@@ -250,6 +258,7 @@ let suite =
       Alcotest.test_case "pipeline pacing = adjacent-sum bottleneck" `Quick test_pipeline_pacing;
       Alcotest.test_case "pipeline vs simulation" `Slow test_pipeline_sim;
       Alcotest.test_case "pipeline uniform delays" `Quick test_pipeline_uniform;
+      Alcotest.test_case "pipeline on every analysis path" `Quick test_pipeline_every_path;
       Alcotest.test_case "interval arithmetic" `Quick test_interval_arith;
       Alcotest.test_case "interval point evaluation" `Quick test_interval_point_degenerates;
       Alcotest.test_case "interval throughput bounds" `Quick test_interval_bounds_throughput;

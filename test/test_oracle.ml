@@ -129,14 +129,6 @@ let test_memo_behaviour () =
   O.reset_stats o;
   Alcotest.(check int) "reset" 0 (O.stats o).O.queries
 
-let test_disabled_layers () =
-  (* memo and witness off: still exact, just slower. *)
-  let o = O.make ~memo:false ~witness:false paper in
-  List.iter
-    (fun (a, b) -> agree ~msg:"no memo/witness" paper o a b)
-    [ (f5, e3); (f4, f5); (f6, Lin.sub e3 f5); (f7, f6) ];
-  Alcotest.(check int) "nothing cached" 0 (O.stats o).O.hits
-
 (* ---------------- randomized agreement ---------------- *)
 
 let pool = [| Var.firing "q0"; Var.firing "q1"; Var.firing "q2"; Var.firing "q3" |]
@@ -206,7 +198,6 @@ let suite =
       Alcotest.test_case "inconsistent systems" `Quick test_inconsistent;
       Alcotest.test_case "witness is a model" `Quick test_witness_is_model;
       Alcotest.test_case "memoization" `Quick test_memo_behaviour;
-      Alcotest.test_case "layers can be disabled" `Quick test_disabled_layers;
       QCheck_alcotest.to_alcotest prop_agreement;
       QCheck_alcotest.to_alcotest prop_equality_systems;
       QCheck_alcotest.to_alcotest prop_witness_models;

@@ -229,8 +229,8 @@ let test_error_exit_codes () =
   Alcotest.(check int) "insufficient" 3
     (exit_code (Insufficient { lhs = "a"; rhs = "b"; hint = "h" }));
   Alcotest.(check int) "unsolvable" 4 (exit_code (Unsolvable "x"));
-  Alcotest.(check int) "det cycle" 4 (exit_code (Deterministic_cycle [ 1 ]));
   Alcotest.(check int) "state limit" 5 (exit_code (State_limit 7));
+  Alcotest.(check int) "deadline" 6 (exit_code (Deadline_exceeded "x"));
   (* classification *)
   (match of_exn (Tpan_core.Tpn.Unsupported "nope") with
    | Some (Unsupported "nope") -> ()

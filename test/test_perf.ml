@@ -222,62 +222,98 @@ let prop_symbolic_specializes =
       in
       Q.equal v cthr)
 
-let test_deterministic_cycle () =
-  (* lossless two-place ping-pong: no decisions; cycle time = sum of F *)
+(* Lossless two-place ping-pong: no decision, one cycle go -> back. *)
+let pingpong go back =
   let b = Net.builder "pingpong" in
   let a = Net.add_place b ~init:1 "a" in
   let c = Net.add_place b "c" in
   let _ = Net.add_transition b ~name:"go" ~inputs:[ (a, 1) ] ~outputs:[ (c, 1) ] in
   let _ = Net.add_transition b ~name:"back" ~inputs:[ (c, 1) ] ~outputs:[ (a, 1) ] in
-  let tpn =
-    Tpn.make (Net.build b)
-      [
-        ("go", Tpn.spec ~firing:(Tpn.Fixed (Q.of_int 3)) ());
-        ("back", Tpn.spec ~firing:(Tpn.Fixed (Q.of_int 5)) ());
-      ]
-  in
-  let g = CG.build tpn in
-  (match DG.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-   | Some (cycle_time, _) -> qeq "cycle time 8" true (Q.equal (Q.of_int 8) cycle_time)
-   | None -> Alcotest.fail "expected a cycle");
-  (* and the rate solver must refuse *)
+  Tpn.make (Net.build b) [ ("go", Tpn.spec ~firing:go ()); ("back", Tpn.spec ~firing:back ()) ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let test_renewal_cycle () =
+  (* the cycle collapses into its smallest state's self-loop: probability
+     1, delay the period 3 + 5, solved like any renewal cycle *)
+  let g = CG.build (pingpong (Tpn.Fixed (Q.of_int 3)) (Tpn.Fixed (Q.of_int 5))) in
+  let res = M.Concrete.analyze g in
+  Alcotest.(check (list int)) "one renewal node" [ 0 ] res.Rates.dg.DG.nodes;
+  (match res.Rates.dg.DG.edges with
+   | [ e ] ->
+     qeq "self-loop" true (e.DG.src = 0 && e.DG.dst = DG.To 0);
+     qeq "probability 1" true (Q.equal e.DG.prob Q.one)
+   | _ -> Alcotest.fail "expected one edge");
+  qeq "mean cycle time 8" true (Q.equal (M.mean_cycle_time res) (Q.of_int 8));
+  qeq "throughput(go) 1/8" true (Q.equal (M.Concrete.throughput res g "go") (Q.of_ints 1 8))
+
+let test_renewal_symbolic () =
+  let go = Var.firing "go" and back = Var.firing "back" in
+  let tpn = pingpong (Tpn.Sym go) (Tpn.Sym back) in
+  let g = SG.build tpn in
+  let thr = M.Symbolic.throughput (M.Symbolic.analyze g) g "back" in
+  let period = Rf.of_poly (Poly.of_linexpr (Lin.add (Lin.var go) (Lin.var back))) in
+  qeq "1 / (F(go) + F(back))" true (Rf.equal thr (Rf.div Rf.one period));
+  let at = [ ("F(go)", Q.of_int 3); ("F(back)", Q.of_int 5) ] in
+  match
+    Tpan.Artifact.eval (Tpan.Canonical.of_tpn tpn) ~transition:"back" ~point:at
+  with
+  | Ok v -> qeq "eval at F(go)=3, F(back)=5" true (Q.equal v (Q.of_ints 1 8))
+  | Error e -> Alcotest.fail (Tpan.Error.to_string e)
+
+let test_terminating_run () =
+  let b = Net.builder "once" in
+  let p = Net.add_place b ~init:1 "p" in
+  let _ = Net.add_transition b ~name:"done" ~inputs:[ (p, 1) ] ~outputs:[] in
+  let g = CG.build (Tpn.make (Net.build b) [ ("done", Tpn.spec ~firing:(Tpn.Fixed Q.one) ()) ]) in
   match M.Concrete.analyze g with
   | _ -> Alcotest.fail "expected Unsolvable"
-  | exception Rates.Unsolvable _ -> ()
+  | exception Rates.Unsolvable msg ->
+    Alcotest.(check string) "message" "the system terminates: no steady state" msg
 
 let test_disconnected_rejected () =
-  (* a one-way initial choice into two separate recurrent lossy loops: the
-     decision graph is reducible (the initial node is transient, the two
-     loops never communicate) -> the solver must refuse with a connectivity
-     message rather than a singular matrix *)
-  let b = Net.builder "reducible" in
-  let start = Net.add_place b ~init:1 "start" in
-  let pa = Net.add_place b "pa" in
-  let pb = Net.add_place b "pb" in
-  let t name inputs outputs = ignore (Net.add_transition b ~name ~inputs ~outputs) in
-  t "go_a" [ (start, 1) ] [ (pa, 1) ];
-  t "go_b" [ (start, 1) ] [ (pb, 1) ];
-  t "a1" [ (pa, 1) ] [ (pa, 1) ];
-  t "a2" [ (pa, 1) ] [ (pa, 1) ];
-  t "b1" [ (pb, 1) ] [ (pb, 1) ];
-  t "b2" [ (pb, 1) ] [ (pb, 1) ];
-  let net = Net.build b in
-  let half = Q.of_ints 1 2 in
-  let tpn =
-    Tpn.make net
-      (List.map
-         (fun n -> (n, Tpn.spec ~firing:(Tpn.Fixed Q.one) ~frequency:(Tpn.Freq half) ()))
-         [ "go_a"; "go_b"; "a1"; "a2"; "b1"; "b2" ])
+  (* a one-way initial choice into two loops that never communicate: the
+     decision graph is reducible (the initial node is transient) -> the
+     solver must refuse with a message naming its nodes rather than a
+     singular matrix. With two self-loops per side each loop is lossy; with
+     one it is decision-free, a renewal node. *)
+  let reducible self_loops =
+    let b = Net.builder "reducible" in
+    let start = Net.add_place b ~init:1 "start" in
+    let names = ref [] in
+    let t name inputs outputs =
+      ignore (Net.add_transition b ~name ~inputs ~outputs);
+      names := name :: !names
+    in
+    List.iter
+      (fun side ->
+        let p = Net.add_place b ("p" ^ side) in
+        t ("go_" ^ side) [ (start, 1) ] [ (p, 1) ];
+        for i = 1 to self_loops do
+          t (side ^ string_of_int i) [ (p, 1) ] [ (p, 1) ]
+        done)
+      [ "a"; "b" ];
+    let half = Tpn.Freq (Q.of_ints 1 2) in
+    Tpn.make (Net.build b)
+      (List.map (fun n -> (n, Tpn.spec ~firing:(Tpn.Fixed Q.one) ~frequency:half ())) !names)
   in
-  let g = CG.build tpn in
-  (match M.Concrete.analyze g with
-   | _ -> Alcotest.fail "expected Unsolvable (disconnected)"
-   | exception Rates.Unsolvable msg ->
-     Alcotest.(check bool) "message mentions connectivity" true
-       (let sub = "strongly connected" in
-        let n = String.length msg and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
-        go 0))
+  List.iter
+    (fun self_loops ->
+      let g = CG.build (reducible self_loops) in
+      let nodes = (DG.of_graph ~add:Q.add ~mul:Q.mul g).DG.nodes in
+      Alcotest.(check int) "the choice and one node per loop" 3 (List.length nodes);
+      let names = String.concat ", " (List.map (fun n -> string_of_int (n + 1)) nodes) in
+      match M.Concrete.analyze g with
+      | _ -> Alcotest.fail "expected Unsolvable (disconnected)"
+      | exception Rates.Unsolvable msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%d self-loops: names nodes {%s}" self_loops names)
+          true
+          (contains msg (Printf.sprintf "nodes {%s} is not strongly connected" names)))
+    [ 2; 1 ]
 
 let test_markov_periodic_chain () =
   (* A bipartite (period-2) decision graph: plain power iteration oscillates
@@ -342,7 +378,9 @@ let suite =
       Alcotest.test_case "symbolic evaluates to concrete" `Quick test_symbolic_throughput_evaluates;
       Alcotest.test_case "markov cross-check" `Quick test_markov_cross_check;
       Alcotest.test_case "markov periodic chain converges" `Quick test_markov_periodic_chain;
-      Alcotest.test_case "deterministic cycle analysis" `Quick test_deterministic_cycle;
+      Alcotest.test_case "deterministic cycle analysis" `Quick test_renewal_cycle;
+      Alcotest.test_case "symbolic renewal cycle" `Quick test_renewal_symbolic;
+      Alcotest.test_case "terminating run has no steady state" `Quick test_terminating_run;
       Alcotest.test_case "absorbing graphs rejected" `Quick test_absorbing_rejected;
       Alcotest.test_case "disconnected graphs diagnosed" `Quick test_disconnected_rejected;
       QCheck_alcotest.to_alcotest prop_symbolic_specializes;

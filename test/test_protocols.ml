@@ -90,26 +90,26 @@ let test_abp_concrete_analysis () =
   | _ -> Alcotest.fail "expected two delivery transitions"
 
 let test_abp_lossless_matches_cycle () =
-  (* without losses ABP is deterministic: cycle = 2 messages per
-     2·(send+pkt+proc+ack+proc) ... verify against the simulator instead of
-     hand-arithmetic: exact graph cycle time = simulated rate *)
+  (* without losses ABP is one deterministic cycle, a single renewal node
+     of the decision graph; verify against the simulator instead of
+     hand-arithmetic: exact delivery rate = simulated rate *)
   let p = { Abp.default_params with Abp.packet_loss = Q.zero; ack_loss = Q.zero } in
   let tpn = Abp.concrete p in
   let g = CG.build tpn in
-  match Tpan_perf.Decision_graph.deterministic_cycle_of_graph ~add:Q.add ~zero:Q.zero g with
-  | None -> Alcotest.fail "lossless ABP should cycle deterministically"
-  | Some (cycle, _) ->
-    (* one cycle delivers two messages (bit 0 and bit 1) *)
-    let per_msg = Q.div cycle (Q.of_int 2) in
-    let net = Tpn.net tpn in
-    let stats = Sim.run ~seed:3 ~horizon:(Q.of_int 1_000_000) tpn in
-    let sim_thr =
-      List.fold_left
-        (fun acc t -> acc +. Sim.throughput stats (Net.trans_of_name net t))
-        0. Abp.deliveries
-    in
-    Alcotest.(check (float 1e-6)) "sim matches deterministic cycle"
-      (1. /. Q.to_float per_msg) sim_thr
+  let res = M.Concrete.analyze g in
+  let nodes = res.Tpan_perf.Rates.dg.Tpan_perf.Decision_graph.nodes in
+  Alcotest.(check int) "one renewal node" 1 (List.length nodes);
+  let thr =
+    List.fold_left (fun acc t -> Q.add acc (M.Concrete.throughput res g t)) Q.zero Abp.deliveries
+  in
+  let net = Tpn.net tpn in
+  let stats = Sim.run ~seed:3 ~horizon:(Q.of_int 1_000_000) tpn in
+  let sim_thr =
+    List.fold_left
+      (fun acc t -> acc +. Sim.throughput stats (Net.trans_of_name net t))
+      0. Abp.deliveries
+  in
+  Alcotest.(check (float 1e-6)) "sim matches deterministic cycle" (Q.to_float thr) sim_thr
 
 let test_abp_symbolic () =
   let tpn = Abp.symbolic () in

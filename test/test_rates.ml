@@ -4,7 +4,8 @@
    polynomial form buys — closed forms in lowest terms at any size, and
    throughput ratios free of delay symbols. The nets are the five
    symbolic builtins and generated stop-and-wait-family nets, some with
-   6 and 8 frequency symbols. *)
+   6 and 8 frequency symbols; the node-set guard adds the concrete
+   builtins. *)
 
 module Q = Tpan_mathkit.Q
 module Var = Tpan_symbolic.Var
@@ -176,6 +177,24 @@ let test_delay_free_ratios () =
         forms)
     (nets ~generated:50)
 
+(* A renewal node is added only on a decision-free cycle, and no net the
+   rate solve answered before renewal nodes existed has one: its nodes are
+   its branching states, so its decision graph and output keep their bytes.
+   Checked on every builtin but the pipeline and on Gen seeds
+   100000–100199. *)
+let test_nodes_are_branching_states () =
+  let check name g nodes =
+    Alcotest.(check (list int)) name (Tpan_core.Semantics.branching_states g) nodes
+  in
+  List.iter (fun (name, _, g) -> check name g (decision_graph g).DG.nodes) (nets ~generated:200);
+  List.iter
+    (fun (m : Tpan.Models.t) ->
+      let tpn = m.Tpan.Models.make [] in
+      if Tpn.is_concrete tpn && m.Tpan.Models.name <> "pipeline" then
+        let g = Tpan_core.Concrete.build tpn in
+        check m.Tpan.Models.name g (DG.of_graph ~add:Q.add ~mul:Q.mul g).DG.nodes)
+    Tpan.Models.all
+
 let suite =
   ( "rates",
     [
@@ -183,4 +202,6 @@ let suite =
       Alcotest.test_case "closed forms in lowest terms" `Quick test_lowest_terms;
       Alcotest.test_case "ABP closed form, 11 terms" `Quick test_abp_pinned;
       Alcotest.test_case "throughput ratios are delay-free" `Quick test_delay_free_ratios;
+      Alcotest.test_case "nodes = branching states off decision-free cycles" `Quick
+        test_nodes_are_branching_states;
     ] )

@@ -51,8 +51,9 @@ let test_symbolic_report () =
 let test_deterministic_report () =
   let tpn = PL.concrete PL.default_params in
   let out = render (Report.concrete ?events:None) tpn in
-  Alcotest.(check bool) "reports the deterministic cycle" true
-    (contains out "deterministic cycle: period 35")
+  Alcotest.(check bool) "reports the period as the mean cycle time" true
+    (contains out "mean cycle time: 35");
+  Alcotest.(check bool) "reports the delivery rate" true (contains out "completion rate deliver")
 
 let suite =
   ( "report",

@@ -65,6 +65,26 @@ let test_analyze_envelope () =
   Alcotest.(check bool) "envelope round-trips" true
     (J.of_string (J.to_string doc) = Ok doc)
 
+(* The builtin half of the cross-surface differential: for every concrete
+   builtin, [POST /analyze] answers the bytes [tpan analyze -m M -t T
+   --json] prints, trace id masked. *)
+let test_analyze_matches_cli () =
+  List.iter
+    (fun (m : Tpan.Models.t) ->
+      if Tpan_core.Tpn.is_concrete (m.Tpan.Models.make []) then begin
+        let name = m.Tpan.Models.name and t = List.hd m.Tpan.Models.deliveries in
+        let r =
+          handle "POST" "/analyze"
+            (Printf.sprintf {|{"model":"%s","throughputs":["%s"]}|} name t)
+        in
+        Alcotest.(check int) (name ^ ": status") 200 r.Serve.status;
+        let rc, out = Test_cli.run_capture (Printf.sprintf "analyze -m %s -t %s --json" name t) in
+        Alcotest.(check int) (name ^ ": cli exit code") 0 rc;
+        Alcotest.(check string) name (Test_cli.mask_trace_id out)
+          (Test_cli.mask_trace_id r.Serve.body)
+      end)
+    Tpan.Models.all
+
 let test_eval_exactly_once () =
   Tpan.Artifact.reset_caches ();
   let before = Tpan_obs.Metrics.counter_value "cache.symbolic.misses" in
@@ -579,4 +599,6 @@ let suite =
         test_access_log_slow_dump_ledger;
       Alcotest.test_case "concurrent scrapes under load" `Quick test_concurrent_scrapes;
       Alcotest.test_case "sweep jobs capped at recommended" `Quick test_sweep_jobs_capped;
+      Alcotest.test_case "/analyze = analyze --json on every builtin" `Quick
+        test_analyze_matches_cli;
     ] )
