@@ -541,19 +541,17 @@ let analyze_cmd =
         let g = CG.build ~max_states ~on_progress:(progress "TRG") tpn in
         Format.printf "timed reachability graph: %d states, %d edges@." (CG.Graph.num_states g)
           (CG.Graph.num_edges g);
-        (match M.Concrete.analyze g with
-         | res ->
-           Format.printf "%a@."
-             (DG.pp ~pp_delay:(Q.pp_decimal ~digits:6) ~pp_prob:(Q.pp_decimal ~digits:6))
-             res.Rates.dg;
-           Format.printf "mean cycle time: %s@." (qf res.Rates.total_weight);
-           List.iter
-             (fun name ->
-               let thr = M.Concrete.throughput res g name in
-               Format.printf "throughput(%s): %s per time unit (period %s)@." name (qf thr)
-                 (if Q.is_zero thr then "inf" else qf (Q.inv thr)))
-             throughputs
-         | exception Rates.Unsolvable msg -> Format.printf "steady state: %s@." msg);
+        let res = M.Concrete.analyze g in
+        Format.printf "%a@."
+          (DG.pp ~pp_delay:(Q.pp_decimal ~digits:6) ~pp_prob:(Q.pp_decimal ~digits:6))
+          res.Rates.dg;
+        Format.printf "mean cycle time: %s@." (qf res.Rates.total_weight);
+        List.iter
+          (fun name ->
+            let thr = M.Concrete.throughput res g name in
+            Format.printf "throughput(%s): %s per time unit (period %s)@." name (qf thr)
+              (if Q.is_zero thr then "inf" else qf (Q.inv thr)))
+          throughputs;
         Format.print_flush ())
   in
   Cmd.v

@@ -64,7 +64,7 @@ type outcome = {
   skipped : (string * string) list;
 }
 
-let ok o = o.failures = []
+let ok o = o.failures = [] && o.agreed > 0
 
 let m_points = Tpan_obs.Metrics.counter "tpan_check_points_total"
 let m_disagreements = Tpan_obs.Metrics.counter "tpan_check_disagreements_total"

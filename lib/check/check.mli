@@ -80,7 +80,9 @@ type outcome = {
 }
 
 val ok : outcome -> bool
-(** No failures (skipped points do not fail a check). *)
+(** No failures, and at least one point agreed. Skipped points do not
+    fail a check, but a check that skipped every point has shown nothing
+    and is not ok. *)
 
 val check_tpn :
   ?config:config ->

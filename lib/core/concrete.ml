@@ -17,7 +17,6 @@ module Domain = struct
     let c = Q.compare a b in
     if c < 0 then `Lt else if c > 0 then `Gt else `Eq
 
-  let justify _ ~smaller:_ ~larger:_ = []
   let time_equal = Q.equal
   let time_hash = Q.hash
   let pp_time = Q.pp_decimal ~digits:6

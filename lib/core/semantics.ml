@@ -21,7 +21,6 @@ module type DOMAIN = sig
   val sub : time -> time -> time
   val normalize : Tpn.t -> time -> time
   val compare_time : Tpn.t -> time -> time -> [ `Lt | `Eq | `Gt ]
-  val justify : Tpn.t -> smaller:time -> larger:time -> string list
   val time_equal : time -> time -> bool
   val time_hash : time -> int
   val pp_time : Format.formatter -> time -> unit
@@ -43,7 +42,6 @@ type ('time, 'prob) edge = {
   prob : 'prob;
   fired : Net.trans list;
   completed : Net.trans list;
-  justification : string list;
 }
 
 type ('time, 'prob) graph = {
@@ -68,7 +66,6 @@ module Make (D : DOMAIN) = struct
     e_prob : D.prob;
     e_fired : Net.trans list;
     e_completed : Net.trans list;
-    e_justification : string list;
   }
 
   let state_equal a b =
@@ -201,9 +198,7 @@ module Make (D : DOMAIN) = struct
             end
           done;
         let st' = { marking = marking'; ret; rft } in
-        ( { e_delay = D.zero; e_prob = prob; e_fired = sel; e_completed = instant;
-            e_justification = [] },
-          st' ))
+        ({ e_delay = D.zero; e_prob = prob; e_fired = sel; e_completed = instant }, st'))
       (selectors tpn firables)
 
   (* --- Time advance: let the smallest non-zero RET/RFT elapse. --- *)
@@ -227,15 +222,6 @@ module Make (D : DOMAIN) = struct
           (fun acc e ->
             match D.compare_time tpn (value e) acc with `Lt -> value e | `Eq | `Gt -> acc)
           (value first) rest
-      in
-      (* Audit: justification that tmin is ≤ every other distinct entry. *)
-      let justification =
-        List.sort_uniq Stdlib.compare
-          (List.concat_map
-             (fun e ->
-               if D.time_equal (value e) tmin then []
-               else D.justify tpn ~smaller:tmin ~larger:(value e))
-             (first :: rest))
       in
       let completes = Array.make nt false in
       let ret = Array.make nt D.zero and rft = Array.make nt D.zero in
@@ -272,10 +258,7 @@ module Make (D : DOMAIN) = struct
       done;
       let completed = List.filter (fun t -> completes.(t)) (Net.transitions net) in
       let st' = { marking; ret; rft } in
-      Some
-        ( { e_delay = tmin; e_prob = D.prob_one; e_fired = []; e_completed = completed;
-            e_justification = justification },
-          st' )
+      Some ({ e_delay = tmin; e_prob = D.prob_one; e_fired = []; e_completed = completed }, st')
 
   let successors tpn st =
     let net = Tpn.net tpn in
@@ -328,7 +311,7 @@ module Make (D : DOMAIN) = struct
             if fresh then Queue.add (j, st') queue;
             Metrics.Counter.incr m_edges;
             { src = i; dst = j; delay = d.e_delay; prob = d.e_prob; fired = d.e_fired;
-              completed = d.e_completed; justification = d.e_justification })
+              completed = d.e_completed })
           succs
       in
       Hashtbl.replace out i edges

@@ -5,7 +5,11 @@
     rationals it produces the concrete Timed Reachability Graph of Figure 4;
     instantiated with affine expressions ordered by the net's timing
     constraints (and rational-function probabilities) it produces the
-    Symbolic Timed Reachability Graph of Figure 6. *)
+    Symbolic Timed Reachability Graph of Figure 6.
+
+    The build decides each ordering and records nothing about why: the
+    Figure 7 audit of which constraints settled each minimum is
+    recomputed from the finished graph by {!Symbolic.constraint_audit}. *)
 
 module Net = Tpan_petri.Net
 module Marking = Tpan_petri.Marking
@@ -34,11 +38,6 @@ module type DOMAIN = sig
   val compare_time : Tpn.t -> time -> time -> [ `Lt | `Eq | `Gt ]
   (** Total comparison. Symbolic domains raise when the constraints cannot
       decide (see {!Symbolic.Insufficient}). *)
-
-  val justify : Tpn.t -> smaller:time -> larger:time -> string list
-  (** Constraint labels proving [smaller ≤ larger] — the Figure-7 audit
-      trail. Returns [[]] when the comparison needs no constraints (e.g.
-      concrete values). *)
 
   val time_equal : time -> time -> bool
   val time_hash : time -> int
@@ -78,8 +77,6 @@ type ('time, 'prob) edge = {
   prob : 'prob;
   fired : Net.trans list;  (** transitions that began firing (selector) *)
   completed : Net.trans list;  (** transitions whose firing finished *)
-  justification : string list;
-      (** constraint labels that resolved this edge's minimum (Figure 7) *)
 }
 
 type ('time, 'prob) graph = {
@@ -103,7 +100,6 @@ module Make (D : DOMAIN) : sig
     e_prob : D.prob;
     e_fired : Net.trans list;
     e_completed : Net.trans list;
-    e_justification : string list;
   }
 
   val initial_state : Tpn.t -> state

@@ -35,13 +35,6 @@ module Domain = struct
       | C.Unknown ->
         raise (Insufficient { lhs = a; rhs = b; hint = C.suggest a b })
 
-  let justify tpn ~smaller ~larger =
-    if Lin.equal smaller larger then []
-    else
-      match C.justify (Tpn.constraints tpn) `Le smaller larger with
-      | Some labels -> labels
-      | None -> []
-
   let time_equal = Lin.equal
   let time_hash = Lin.hash
   let pp_time = Lin.pp
@@ -75,15 +68,24 @@ let total_delay edges =
   List.fold_left (fun acc (e : Graph.edge) -> Lin.add acc e.delay) Lin.zero edges
 
 let constraint_audit (g : Graph.graph) =
-  let acc = ref [] in
-  Array.iter
-    (fun edges ->
-      List.iter
-        (fun (e : Graph.edge) ->
-          if e.justification <> [] then acc := (e.src, e.dst, e.justification) :: !acc)
-        edges)
-    g.out;
-  List.rev !acc
+  let cs = Tpn.constraints g.tpn in
+  let audit (e : Graph.edge) =
+    let st = g.states.(e.src) in
+    let labels =
+      List.concat_map
+        (fun x ->
+          if Lin.equal x Lin.zero || Lin.equal x e.delay then []
+          else Option.value ~default:[] (C.justify cs `Le e.delay x))
+        (Array.to_list st.ret @ Array.to_list st.rft)
+      |> List.sort_uniq String.compare
+    in
+    if labels = [] then None else Some (e.src, e.dst, labels)
+  in
+  List.concat
+    (List.mapi
+       (fun i edges ->
+         if g.kinds.(i) = Semantics.Advance then List.filter_map audit edges else [])
+       (Array.to_list g.out))
 
 let to_dot (g : Graph.graph) =
   let buf = Buffer.create 2048 in

@@ -34,6 +34,13 @@ val total_delay : Graph.edge list -> Lin.t
 val constraint_audit : Graph.graph -> (int * int * string list) list
 (** Per-edge constraint usage [(src, dst, labels)] for edges whose minimum
     needed at least one declared constraint — reproduces the paper's
-    Figure 7. *)
+    Figure 7. Computed on demand from the finished graph: for each
+    time-advance edge, the union of the irreducible cores
+    ({!Tpan_symbolic.Constraints.justify}) proving its delay is at most
+    every other non-zero remaining time of its source state, in graph
+    order. It bypasses the net's oracle and runs one Fourier–Motzkin
+    entailment per declared constraint, plus one, for every compared
+    entry, so it is a report for the designer: no serving path calls
+    it. *)
 
 val to_dot : Graph.graph -> string

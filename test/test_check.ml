@@ -178,6 +178,32 @@ let test_facade_check_source () =
     Alcotest.(check bool) "named after the model" true (o.CK.name = "stopwait")
   | Error e -> Alcotest.fail (Tpan_core.Error.to_string e)
 
+(* A lossy one-time setup before a lossy data loop: the decision graph is
+   not strongly connected, so the only sampled point is skipped. A check
+   that evaluated nothing must not pass. *)
+let setup_tpn =
+  {|net setup
+place idle init 1
+place conn
+place data
+trans req_ok   { in idle; out conn; fire 1; freq 9 }
+trans req_lost { in idle; out idle; fire 5; freq 1 }
+trans send     { in conn; out data; fire 2 }
+trans ok       { in data; out conn; fire 3; freq 19 }
+trans lost     { in data; out conn; fire 10; freq 1 }
+|}
+
+let test_vacuous_check_fails () =
+  match
+    CK.check_tpn ~config:cfg ~name:"setup" ~delivery:"send" (Parser.parse_string setup_tpn)
+  with
+  | Error e -> Alcotest.fail (Tpan_core.Error.to_string e)
+  | Ok o ->
+    Alcotest.(check int) "no point agreed" 0 o.CK.agreed;
+    Alcotest.(check int) "no failures" 0 (List.length o.CK.failures);
+    Alcotest.(check bool) "the point was skipped" true (o.CK.skipped <> []);
+    Alcotest.(check bool) "not ok" false (CK.ok o)
+
 let suite =
   ( "check",
     [
@@ -193,4 +219,5 @@ let suite =
       Alcotest.test_case "injected off-by-one caught, reproducer parses" `Slow
         test_injected_bug_caught;
       Alcotest.test_case "facade check_source" `Slow test_facade_check_source;
+      Alcotest.test_case "no agreed point is not ok" `Quick test_vacuous_check_fails;
     ] )

@@ -525,6 +525,31 @@ let test_error_paths () =
   Alcotest.(check bool) "sweep rows name the transition" true
     (contains out3 {|error: unknown transition "nosuch"|})
 
+(* Human and --json analyze agree on the exit code when there is no
+   steady state: the TRG line stays on stdout, the reason goes to stderr. *)
+let test_analyze_no_steady_state () =
+  let term = write_temp_net "net term\nplace p init 1\ntrans t { in p; fire 1 }\n" in
+  let out_file = Filename.temp_file "tpan_cli" ".out" in
+  let err_file = Filename.temp_file "tpan_cli" ".err" in
+  let rc = Sys.command (Printf.sprintf "%s analyze %s > %s 2> %s" tpan term out_file err_file) in
+  let slurp path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    s
+  in
+  let out = slurp out_file and stderr = slurp err_file in
+  Alcotest.(check int) "human exit code" 4 rc;
+  Alcotest.(check bool) "TRG line on stdout" true
+    (contains out "timed reachability graph: 3 states, 2 edges");
+  Alcotest.(check bool) "reason on stderr" true
+    (contains stderr "rate equations unsolvable: the system terminates");
+  Alcotest.(check bool) "reason not on stdout" false (contains out "steady state");
+  let rc_json, _ = run_capture (Printf.sprintf "analyze --json %s" term) in
+  Alcotest.(check int) "--json exit code" 4 rc_json;
+  Sys.remove term
+
 let suite =
   ( "cli",
     [
@@ -550,4 +575,6 @@ let suite =
       Alcotest.test_case "fuzz per-case deadline" `Quick test_fuzz_deadline;
       Alcotest.test_case "bench-diff gating" `Quick test_bench_diff_cmd;
       Alcotest.test_case "multi-lane trace at -j4" `Quick test_multilane_trace;
+      Alcotest.test_case "analyze with no steady state exits 4" `Quick
+        test_analyze_no_steady_state;
     ] )

@@ -89,6 +89,76 @@ let test_figure7_constraint_audit () =
   Alcotest.(check int) "one use of (1)+(3)" 1 (count [ "(1)"; "(3)" ]);
   Alcotest.(check int) "one use of (1)+(4)" 1 (count [ "(1)"; "(4)" ])
 
+let builtin name = (Option.get (Tpan.Models.find name)).Tpan.Models.make []
+
+(* The full audit of every symbolic builtin: (src, dst, labels), 0-based
+   state indices. *)
+let test_audit_pinned () =
+  let rtt = List.map (fun (s, d) -> (s, d, [ "(rtt)" ])) in
+  let expected =
+    [
+      ( "stopwait-sym",
+        [
+          (3, 5, [ "(1)"; "(3)" ]); (4, 6, [ "(1)" ]); (8, 10, [ "(1)" ]); (11, 13, [ "(1)" ]);
+          (12, 14, [ "(1)"; "(4)" ]);
+        ] );
+      ( "abp-sym",
+        rtt
+          [
+            (3, 5); (4, 6); (8, 10); (11, 13); (12, 14); (24, 28); (25, 29); (26, 30); (27, 31);
+            (33, 36); (34, 10); (37, 39); (38, 40); (47, 49); (48, 50); (51, 36);
+          ] );
+      ("handshake-sym", rtt [ (3, 5); (4, 6); (8, 10); (11, 13); (12, 14) ]);
+      ("scheduler-sym", []);
+      ("ring-sym", []);
+    ]
+  in
+  List.iter
+    (fun (name, want) ->
+      let audit = SG.constraint_audit (SG.build (builtin name)) in
+      Alcotest.(check (list (triple int int (list string)))) name want audit)
+    expected
+
+(* The labels of an audited edge name constraints that, alone, order the
+   edge's delay below every other remaining time of its source state. *)
+let test_audit_sufficient () =
+  for seed = 100000 to 100199 do
+    let tpn = (Tpan_check.Gen.case ~seed).tpn in
+    let g = SG.build tpn in
+    let declared = C.constraints (Tpn.constraints tpn) in
+    List.iter
+      (fun (src, dst, labels) ->
+        let e = List.find (fun (e : SG.Graph.edge) -> e.dst = dst) g.out.(src) in
+        let core = C.of_list (List.filter (fun (l, _, _, _) -> List.mem l labels) declared) in
+        List.iter
+          (fun x ->
+            Alcotest.(check bool)
+              (Format.asprintf "seed %d, %d -> %d: %a <= %a" seed src dst Lin.pp e.delay Lin.pp x)
+              true
+              (C.entails core `Le e.delay x))
+          (let st = g.states.(src) in
+           List.filter (fun x -> not (Lin.equal x Lin.zero)) (Array.to_list st.ret @ Array.to_list st.rft)))
+      (SG.constraint_audit g)
+  done
+
+(* A cold build runs Fourier–Motzkin only through the net's oracle: every
+   feasibility check it makes is one the oracle counts. *)
+let test_build_fm_through_oracle () =
+  let fm_checks () = Tpan_obs.Metrics.counter_value "mathkit.fm.feasible_checks" in
+  let cold name tpn =
+    let before = fm_checks () in
+    ignore (SG.build tpn);
+    Alcotest.(check int) (name ^ ": FM checks = oracle FM runs")
+      (Tpan_symbolic.Oracle.stats (Tpn.oracle tpn)).fm_runs
+      (fm_checks () - before)
+  in
+  List.iter
+    (fun name -> cold name (builtin name))
+    [ "stopwait-sym"; "abp-sym"; "handshake-sym"; "scheduler-sym"; "ring-sym" ];
+  for seed = 100000 to 100049 do
+    cold (string_of_int seed) (Tpan_check.Gen.case ~seed).tpn
+  done
+
 let test_insufficient_constraints_diagnosis () =
   (* Dropping constraint (1) makes state 4 unresolvable: F(t5) vs E(t3). *)
   let weak =
@@ -173,4 +243,7 @@ let suite =
       Alcotest.test_case "insufficient constraints diagnosed" `Quick test_insufficient_constraints_diagnosis;
       Alcotest.test_case "symbolic = concrete at paper point" `Quick test_symbolic_matches_concrete_at_paper_point;
       Alcotest.test_case "entailed-zero normalization" `Quick test_normalize_collapses_entailed_zero;
+      Alcotest.test_case "figure 7: audit of every builtin" `Quick test_audit_pinned;
+      Alcotest.test_case "figure 7: audit cores suffice" `Quick test_audit_sufficient;
+      Alcotest.test_case "build runs FM only via the oracle" `Quick test_build_fm_through_oracle;
     ] )
