@@ -401,18 +401,19 @@ let model_arg =
 let max_states_arg =
   Arg.(value & opt int 100_000 & info [ "max-states" ] ~docv:"N" ~doc:"State budget.")
 
-let source_of file model =
+(* The net a subcommand names: a .tpn file or a builtin model. *)
+let query_net file model =
   match (file, model) with
-  | Some f, None -> Tpan.Analysis.File f
-  | None, Some m ->
-    current_model := Some m;
-    Tpan.Analysis.Builtin m
+  | Some f, None -> Tpan.Query.File f
+  | None, Some name ->
+    current_model := Some name;
+    Tpan.Query.Model { name; params = [] }
   | Some _, Some _ -> fail_input "give either a file or --model, not both"
   | None, None -> fail_input "give a .tpn file or --model NAME"
 
 let with_net file model k =
   handle_errors (fun () ->
-      match Tpan.Analysis.load (source_of file model) with
+      match Tpan.Query.load (query_net file model) with
       | Ok tpn -> k tpn
       | Error e -> fail e)
 
@@ -427,33 +428,25 @@ let with_canonical file model k = with_net file model (fun tpn -> k (canonicaliz
 
 (* ----- machine output -----
 
-   Every --json document is wrapped in one schema-2 envelope. *)
+   Every --json document is wrapped in the one schema-2 envelope. *)
 
 let print_json doc = print_endline (Obs.Jsonv.to_string_hum doc)
 
-let envelope ~kind ?(exit_code = 0) fields =
-  Obs.Jsonv.Obj
-    (("schema", Obs.Jsonv.Int 2)
-    :: ("kind", Obs.Jsonv.Str kind)
-    :: ( "trace_id",
-         match Obs.Context.trace_id () with
-         | Some t -> Obs.Jsonv.Str t
-         | None -> Obs.Jsonv.Null )
-    :: ( "net_hash",
-         match !current_net_hash with
-         | Some h -> Obs.Jsonv.Str h
-         | None -> Obs.Jsonv.Null )
-    :: ("exit_code", Obs.Jsonv.Int exit_code)
-    :: fields)
+let print_doc ~kind fields =
+  print_json (Tpan.Query.envelope ~kind ~net_hash:!current_net_hash ~exit_code:0 fields)
 
-let print_doc ~kind fields = print_json (envelope ~kind fields)
-
-(* Payload fields of a document that carries its own schema/kind header
-   (sweep tables, checker outcomes): everything but that header. *)
-let payload_fields doc =
-  match doc with
-  | Obs.Jsonv.Obj kvs -> List.filter (fun (k, _) -> k <> "schema" && k <> "kind") kvs
-  | other -> [ ("value", other) ]
+(* Run a query the way the server runs a request body, and print its
+   answer: --json prints the envelope the server answers; a sweep table
+   also renders as text or CSV. A failure exits with its code. *)
+let answer ?(csv = false) ~json query =
+  let net_hash, outcome = Tpan.Query.run query in
+  current_net_hash := net_hash;
+  match outcome with
+  | Error e -> fail e
+  | Ok (Tpan.Query.Table t) when not json ->
+    if csv then print_string (Tpan_perf.Sweep.to_csv t)
+    else Format.printf "%a@?" Tpan_perf.Sweep.pp t
+  | Ok _ as outcome -> print_json (Tpan.Query.to_json ~net_hash outcome)
 
 (* ----- show ----- *)
 
@@ -530,12 +523,10 @@ let json_arg =
 let analyze_cmd =
   let run () file model max_states throughputs json =
     if json then
-      with_canonical file model (fun c ->
-          match Tpan.Artifact.analysis ~max_states ~throughputs c with
-          | Ok report ->
-            let report = { report with Tpan.Analysis.model } in
-            print_doc ~kind:"analysis" (Tpan.Analysis.report_fields report)
-          | Error e -> fail e)
+      handle_errors (fun () ->
+          answer ~json
+            (Tpan.Query.Analyze
+               { net = query_net file model; max_states = Some max_states; throughputs }))
     else
     with_net file model (fun tpn ->
         let g = CG.build ~max_states ~on_progress:(progress "TRG") tpn in
@@ -709,19 +700,14 @@ let latency_cmd =
 
 (* ----- sweep ----- *)
 
-(* The sweep engine has two evaluation paths:
-
-   - a concrete built-in model: each grid point rebuilds the net with the
-     axis parameters overridden and runs the full exact analysis — points
-     are independent, so they fan out over the worker pool;
-   - a symbolic net: the closed-form throughput is derived once and merely
-     evaluated per point (the paper's argument for symbolic derivation).
-
-   Either way the grid is row-major and results land in input order, so
-   the table (and its CSV/JSON renderings) is byte-identical for any -j. *)
+(* A builtin with parameters rebuilds its net at every grid point; any
+   other net evaluates its closed form, derived once (see
+   {!Tpan.Query.run}). Either way the grid is row-major and results land
+   in input order, so the table (and its CSV/JSON renderings) is
+   byte-identical for any -j. *)
 let sweep_cmd =
   let module Sweep = Tpan_perf.Sweep in
-  let run () file model max_states trans vary point csv json =
+  let run () file model max_states transitions vary point csv json =
     handle_errors @@ fun () ->
     let axes =
       List.map
@@ -731,50 +717,16 @@ let sweep_cmd =
     in
     if axes = [] then fail_input "give at least one --vary NAME=LO..HI:STEPS";
     let bindings = List.map (fun (k, v) -> (k, Q.of_decimal_string v)) point in
-    let table =
-      match model with
-      | Some name when (match Tpan.Models.find name with
-                        | Some m -> m.Tpan.Models.params <> []
-                        | None -> false) ->
-        (* concrete built-in: axes are model parameters *)
-        let m = Option.get (Tpan.Models.find name) in
-        List.iter
-          (fun (a : Sweep.axis) ->
-            if not (List.mem_assoc a.Sweep.name m.Tpan.Models.params) then
-              fail_input
-                (Printf.sprintf "model %s has no parameter %S (available: %s)" name
-                   a.Sweep.name
-                   (String.concat ", " (List.map fst m.Tpan.Models.params))))
-          axes;
-        if bindings <> [] then
-          fail_input "-p binds symbols of a symbolic net; concrete sweeps take axes only";
-        let throughputs = if trans = [] then m.Tpan.Models.deliveries else trans in
-        Sweep.over_tpn ~max_states
-          ~make:(fun pt -> m.Tpan.Models.make pt)
-          ~throughputs axes
-      | _ ->
-        (* symbolic path: the closed forms come from the artifact cache
-           (derived once per net hash), then evaluate per point *)
-        with_net file model @@ fun tpn ->
-        if Tpn.is_concrete tpn then
-          fail_input
-            "sweeping a concrete net needs a built-in model (--model NAME) so axes can \
-             name its parameters; for a .tpn file use its symbolic variant"
-        else begin
-          if trans = [] then
-            fail_input "give at least one -t TRANS to sweep a symbolic throughput";
-          let c = canonicalize tpn in
-          match
-            Tpan.Artifact.sweep_exprs ~max_states c ~transitions:trans ~bindings ~axes
-          with
-          | Ok table -> table
-          | Error e -> fail e
-        end
-    in
-    if json then
-      print_doc ~kind:"sweep" (payload_fields (Sweep.to_json table))
-    else if csv then print_string (Sweep.to_csv table)
-    else Format.printf "%a@?" Sweep.pp table
+    answer ~csv ~json
+      (Tpan.Query.Sweep
+         {
+           net = query_net file model;
+           max_states = Some max_states;
+           transitions;
+           bindings;
+           axes;
+           jobs = None;
+         })
   in
   let trans_arg =
     Arg.(
@@ -1016,16 +968,16 @@ let check_cmd =
     else if diff then
       handle_errors (fun () ->
           (* canonicalize up front so the schema-2 envelope names the net *)
-          (match Tpan.Analysis.load (source_of file model) with
+          (match Tpan.Query.load (query_net file model) with
            | Ok tpn -> ignore (canonicalize tpn)
            | Error _ -> ());
-          match Tpan.Checker.check_source ~config ?delivery (source_of file model) with
+          match Tpan.Checker.check_source ~config ?delivery (query_net file model) with
           | Error e -> fail e
           | Ok o ->
             let doc = CK.outcome_to_json o in
             last_report := Some doc;
             write_reproducers repro [ o ];
-            if json then print_doc ~kind:"check" (payload_fields doc)
+            if json then print_doc ~kind:"check" (CK.outcome_fields o)
             else Format.printf "%a@." CK.pp_outcome o;
             if not (CK.ok o) then quit 1)
     else with_net file model (check_static max_states)

@@ -335,35 +335,35 @@ let disagreement_to_json = function
         ("hi", J.Float hi);
       ]
 
+let outcome_fields o =
+  [
+    ("name", J.Str o.name);
+    ("points", J.Int o.points);
+    ("agreed", J.Int o.agreed);
+    ( "failures",
+      J.List
+        (List.map
+           (fun f ->
+             J.Obj
+               [
+                 ("disagreement", disagreement_to_json f.disagreement);
+                 ( "point",
+                   J.Obj (List.map (fun (n, q) -> (n, J.Str (Q.to_string q))) f.triple.point)
+                 );
+                 ("exact", J.Str (Q.to_string f.triple.exact));
+                 ("numeric", J.Float f.triple.numeric);
+                 ("sim", estimate_to_json f.triple.sim);
+                 ("reproducer", J.Str f.reproducer);
+               ])
+           o.failures) );
+    ( "skipped",
+      J.List
+        (List.map
+           (fun (label, reason) ->
+             J.Obj [ ("point", J.Str label); ("reason", J.Str reason) ])
+           o.skipped) );
+    ("ok", J.Bool (ok o));
+  ]
+
 let outcome_to_json o =
-  J.Obj
-    [
-      ("schema", J.Int 1);
-      ("kind", J.Str "check");
-      ("name", J.Str o.name);
-      ("points", J.Int o.points);
-      ("agreed", J.Int o.agreed);
-      ( "failures",
-        J.List
-          (List.map
-             (fun f ->
-               J.Obj
-                 [
-                   ("disagreement", disagreement_to_json f.disagreement);
-                   ( "point",
-                     J.Obj (List.map (fun (n, q) -> (n, J.Str (Q.to_string q))) f.triple.point)
-                   );
-                   ("exact", J.Str (Q.to_string f.triple.exact));
-                   ("numeric", J.Float f.triple.numeric);
-                   ("sim", estimate_to_json f.triple.sim);
-                   ("reproducer", J.Str f.reproducer);
-                 ])
-             o.failures) );
-      ( "skipped",
-        J.List
-          (List.map
-             (fun (label, reason) ->
-               J.Obj [ ("point", J.Str label); ("reason", J.Str reason) ])
-             o.skipped) );
-      ("ok", J.Bool (ok o));
-    ]
+  J.Obj (("schema", J.Int 1) :: ("kind", J.Str "check") :: outcome_fields o)

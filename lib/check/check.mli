@@ -105,5 +105,11 @@ val fuzz :
 (** [cases] generated nets, seeds [config.seed .. config.seed+cases-1],
     fanned out over a {!Tpan_par.Pool} (deterministic for any [jobs]). *)
 
+val outcome_fields : outcome -> (string * Tpan_obs.Jsonv.t) list
+(** The outcome's payload fields, envelope-free (the CLI wraps them). *)
+
 val outcome_to_json : outcome -> Tpan_obs.Jsonv.t
+(** Self-describing ([{"schema": 1, "kind": "check", …}]): one entry of
+    the fuzz summary. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit

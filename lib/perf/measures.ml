@@ -101,6 +101,31 @@ module Symbolic = struct
 
   let eval_at rf bindings = Rf.eval (env_of_bindings bindings) rf
 
+  let bound rfs names =
+    List.concat_map (fun rf -> Poly.vars (Rf.num rf) @ Poly.vars (Rf.den rf)) rfs
+    |> List.filter_map (fun v ->
+           let n = Var.name v in
+           if List.mem n names then None else Some n)
+    |> List.sort_uniq String.compare
+    |> function
+    | [] -> Ok ()
+    | missing ->
+      Error
+        (Tpan_core.Error.Invalid_input
+           (Printf.sprintf "point misses variable bindings: %s" (String.concat ", " missing)))
+
+  (* The one mapping of an evaluation failure to a typed error: /eval and
+     every sweep row report the same error for the same point. *)
+  let eval rf bindings =
+    match eval_at rf bindings with
+    | v -> Ok v
+    | exception Not_found -> (
+      match bound [ rf ] (List.map fst bindings) with
+      | Error e -> Error e
+      | Ok () -> raise Not_found)
+    | exception Division_by_zero ->
+      Error (Tpan_core.Error.Unsupported "the throughput denominator vanishes at this point")
+
   let subst_frequencies rf bindings =
     Rf.subst
       (fun v ->

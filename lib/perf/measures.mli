@@ -70,6 +70,21 @@ module Symbolic : sig
       @raise Not_found for a missing variable
       @raise Division_by_zero if the denominator vanishes *)
 
+  val eval :
+    Tpan_symbolic.Ratfun.t ->
+    (string * Tpan_mathkit.Q.t) list ->
+    (Tpan_mathkit.Q.t, Tpan_core.Error.t) Stdlib.result
+  (** {!eval_at} with its two failures as values, the ones [/eval] and
+      every sweep row report: [Invalid_input] naming the unbound
+      variables (["point misses variable bindings: E(t3), f(t4)"]), and
+      [Unsupported] when the denominator vanishes. *)
+
+  val bound :
+    Tpan_symbolic.Ratfun.t list -> string list -> (unit, Tpan_core.Error.t) Stdlib.result
+  (** [Ok ()] when [names] bind every variable of the measures, else
+      {!eval}'s [Invalid_input] naming the ones they miss: a sweep checks
+      its grid with it before evaluating any point. *)
+
   val subst_frequencies :
     Tpan_symbolic.Ratfun.t -> (string * Tpan_mathkit.Q.t) list -> Tpan_symbolic.Ratfun.t
   (** Partially substitute (typically the frequency symbols, to reproduce

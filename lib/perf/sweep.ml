@@ -76,19 +76,19 @@ type row = {
 
 type t = { axes : axis list; columns : string list; rows : row list }
 
-(* Per-point failures become row errors; a genuinely unclassifiable
-   exception is a bug and propagates. *)
+let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
+
+(* A failure [over_tpn] raises at a point becomes that row's error; a
+   genuinely unclassifiable exception is a bug and propagates. A net
+   whose cycle takes no time divides by a zero mean cycle time. *)
 let classify e =
   match Errors.of_exn e with
   | Some err -> err
   | None -> (
     match e with
     | Invalid_argument msg | Failure msg -> Error.Invalid_input msg
-    | Not_found -> Error.Invalid_input "unknown variable in sweep point"
     | Division_by_zero -> Error.Unsolvable "division by zero while evaluating measure"
     | e -> raise e)
-
-let qs q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 (* A cancelled point aborts the whole sweep: the deadline belongs to the
    request, not to the point, so it must not become a row error. *)
@@ -98,23 +98,25 @@ let rows_of_results pts results =
       | Error { Tpan_par.Pool.exn = Tpan_obs.Cancel.Cancelled _ as e; _ } -> raise e
       | _ -> ())
     results;
-  List.map2
-    (fun point r ->
+  List.mapi
+    (fun index (point, r) ->
+      let r =
+        match r with Ok r -> r | Error (e : Tpan_par.Pool.error) -> Error (classify e.exn)
+      in
       match r with
       | Ok values -> { point; values; error = None }
-      | Error (e : Tpan_par.Pool.error) ->
-        let err = classify e.exn in
+      | Error err ->
         Tpan_obs.Log.warn "sweep point failed"
           ~fields:
             [
-              ("index", Tpan_obs.Jsonv.Int e.index);
+              ("index", Tpan_obs.Jsonv.Int index);
               ( "point",
                 Tpan_obs.Jsonv.Obj
-                  (List.map (fun (k, v) -> (k, Tpan_obs.Jsonv.Raw (qs v))) point) );
+                  (List.map (fun (k, v) -> (k, Tpan_obs.Jsonv.Raw (qf v))) point) );
               ("error", Tpan_obs.Jsonv.Str (Error.to_string err));
             ];
         { point; values = []; error = Some err })
-    pts results
+    (List.combine pts results)
 
 (* every grid point polls the deadline, then traces as its own span (in
    its worker's lane when the pool fans out), labelled with its row-major
@@ -134,11 +136,12 @@ let over_tpn ?jobs ?max_states ~make ~throughputs axes =
     let tpn = make point in
     let g = CG.build ?max_states tpn in
     let r = Measures.Concrete.analyze g in
-    List.map2
-      (fun col t -> (col, Measures.Concrete.throughput r g t))
-      (List.map (fun t -> "thr(" ^ t ^ ")") throughputs)
-      throughputs
-    @ [ ("mean_cycle_time", Measures.mean_cycle_time r) ]
+    Ok
+      (List.map2
+         (fun col t -> (col, Measures.Concrete.throughput r g t))
+         (List.map (fun t -> "thr(" ^ t ^ ")") throughputs)
+         throughputs
+      @ [ ("mean_cycle_time", Measures.mean_cycle_time r) ])
   in
   let results = Tpan_par.Pool.try_map ?jobs (spanned "sweep.point" eval) (indexed pts) in
   { axes; columns; rows = rows_of_results pts results }
@@ -149,14 +152,18 @@ let over_expr ?jobs ~bindings ~exprs axes =
   let eval point =
     (* the point's coordinates shadow any clashing fixed binding *)
     let env = point @ bindings in
-    List.map (fun (name, rf) -> (name, Measures.Symbolic.eval_at rf env)) exprs
+    let rec values = function
+      | [] -> Ok []
+      | (name, rf) :: rest ->
+        Result.bind (Measures.Symbolic.eval rf env) (fun v ->
+            Result.map (fun vs -> (name, v) :: vs) (values rest))
+    in
+    values exprs
   in
   let results = Tpan_par.Pool.try_map ?jobs (spanned "sweep.point" eval) (indexed pts) in
   { axes; columns; rows = rows_of_results pts results }
 
 (* ---------------- rendering ---------------- *)
-
-let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 let csv_cell s =
   if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
@@ -187,39 +194,20 @@ let to_csv t =
     t.rows;
   Buffer.contents b
 
-let to_json t =
-  J.Obj
-    [
-      ("schema", J.Int 1);
-      ("kind", J.Str "sweep");
-      ( "axes",
-        J.List
-          (List.map
-             (fun a ->
-               J.Obj
-                 [
-                   ("name", J.Str a.name);
-                   ("lo", J.Raw (qf a.lo));
-                   ("hi", J.Raw (qf a.hi));
-                   ("steps", J.Int a.steps);
-                 ])
-             t.axes) );
-      ("columns", J.List (List.map (fun c -> J.Str c) t.columns));
-      ( "rows",
-        J.List
-          (List.map
-             (fun r ->
-               J.Obj
-                 [
-                   ("point", J.Obj (List.map (fun (k, v) -> (k, J.Raw (qf v))) r.point));
-                   ("values", J.Obj (List.map (fun (k, v) -> (k, J.Raw (qf v))) r.values));
-                   ( "error",
-                     match r.error with
-                     | None -> J.Null
-                     | Some e -> J.Str (Error.to_string e) );
-                 ])
-             t.rows) );
-    ]
+(* Exact, as every served rational is: [Q.to_string] strings. *)
+let fields t =
+  let q v = J.Str (Q.to_string v) in
+  let qs l = J.Obj (List.map (fun (k, v) -> (k, q v)) l) in
+  let axis a =
+    J.Obj [ ("name", J.Str a.name); ("lo", q a.lo); ("hi", q a.hi); ("steps", J.Int a.steps) ]
+  in
+  let error = function None -> J.Null | Some e -> J.Str (Error.to_string e) in
+  let row r = J.Obj [ ("point", qs r.point); ("values", qs r.values); ("error", error r.error) ] in
+  [
+    ("axes", J.List (List.map axis t.axes));
+    ("columns", J.List (List.map (fun c -> J.Str c) t.columns));
+    ("rows", J.List (List.map row t.rows));
+  ]
 
 let pp fmt t =
   let axis_names = List.map (fun a -> a.name) t.axes in

@@ -61,15 +61,18 @@ val over_expr :
   t
 (** For each grid point, evaluate each named closed-form measure at
     [bindings ∪ point] (point wins on clashes). Axis names are variable
-    display names (["E(t3)"], ["f(t4)"], …). Errors and cancellation as
-    in {!over_tpn}. *)
+    display names (["E(t3)"], ["f(t4)"], …). A row's error is the one
+    {!Measures.Symbolic.eval} gives at its point, the one [/eval] gives
+    there; cancellation as in {!over_tpn}. *)
 
 val to_csv : t -> string
 (** Header then one line per row: point coordinates, then columns (empty
     cells on error), then an [error] column. Deterministic. *)
 
-val to_json : t -> Tpan_obs.Jsonv.t
-(** Versioned machine output ([{"schema": 1, "kind": "sweep", …}]). *)
+val fields : t -> (string * Tpan_obs.Jsonv.t) list
+(** The table's payload fields ([axes], [columns], [rows]) with every
+    rational exact, as a [Q.to_string] string; the caller's envelope
+    wraps them. *)
 
 val pp : Format.formatter -> t -> unit
 (** Aligned human-readable table. *)

@@ -111,8 +111,8 @@ let total_errors types =
 
 (* In-flight requests, keyed by trace id. The handler publishes each
    request here for /statusz and keeps a domain-local pointer so the
-   body-resolution and envelope code can annotate the record (net hash,
-   exit code) without threading it through every handler. *)
+   query and error responses can annotate the record (net hash, exit
+   code) without threading it through the dispatch. *)
 type inflight = {
   if_trace_id : string;
   if_name : string;  (* "POST /eval" *)
@@ -210,10 +210,9 @@ let cache_delta before after =
     after
 
 (* [Http_error] is a protocol-level rejection (bad route, bad JSON);
-   application failures travel as [Tpan.Error.t] and keep their exit
-   codes in the envelope. *)
+   application failures come back from [Tpan.Query.run] as
+   [Tpan.Error.t] values and keep their exit codes in the envelope. *)
 exception Http_error of int * string
-exception App_error of Tpan.Error.t
 
 let bad msg = raise (Http_error (400, msg))
 
@@ -341,49 +340,6 @@ let bindings_field field obj =
     List.map (fun (k, v) -> (k, q_of_json (field ^ "." ^ k) v)) kvs
   | Some _ -> bad (Printf.sprintf "%s: expected an object of variable bindings" field)
 
-(* ----- net resolution -----
-
-   A request names its net with exactly one of ["model"] (builtin, with
-   optional ["params"]) or ["net"] (inline .tpn source). Both land on
-   the same canonicalized artifact keys, so a model requested by name
-   and the same net posted as source share cache entries. *)
-
-let canonical_of_body obj =
-  let model = str_field "model" obj in
-  let net = str_field "net" obj in
-  let load source params =
-    match Tpan.Analysis.load ~params source with
-    | Ok tpn -> Tpan.Canonical.of_tpn tpn
-    | Error e -> raise (App_error e)
-  in
-  let canonical =
-    match (model, net) with
-    | Some name, None -> load (Tpan.Analysis.Builtin name) (bindings_field "params" obj)
-    | None, Some src -> (
-      if J.member "params" obj <> None then
-        bad "params: only builtin models take parameters (edit the net source)";
-      match Tpan.Error.guard (fun () -> Tpan_dsl.Parser.parse_string src) with
-      | Ok tpn -> Tpan.Canonical.of_tpn tpn
-      | Error e -> raise (App_error e))
-    | _ -> bad "body must carry exactly one of \"model\" or \"net\""
-  in
-  note_net_hash (Tpan.Canonical.hash canonical);
-  canonical
-
-(* ----- response envelopes ----- *)
-
-let envelope ~kind ~net_hash ~exit_code fields =
-  (match net_hash with Some h -> note_net_hash h | None -> ());
-  note_exit_code exit_code;
-  J.Obj
-    (("schema", J.Int 2)
-    :: ("kind", J.Str kind)
-    :: ( "trace_id",
-         match Obs.Context.trace_id () with Some t -> J.Str t | None -> J.Null )
-    :: ("net_hash", (match net_hash with Some h -> J.Str h | None -> J.Null))
-    :: ("exit_code", J.Int exit_code)
-    :: fields)
-
 let json ?(headers = []) status doc =
   {
     status;
@@ -392,65 +348,30 @@ let json ?(headers = []) status doc =
     headers;
   }
 
-let status_of_error e =
-  match Tpan.Error.exit_code e with 6 -> 504 | 2 -> 400 | _ -> 422
-
-let error_response ?(headers = []) ?net_hash status ~exit_code msg =
+let error_response ?(headers = []) status ~exit_code msg =
+  note_exit_code exit_code;
   json ~headers status
-    (envelope ~kind:"error" ~net_hash ~exit_code [ ("error", J.Str msg) ])
+    (Tpan.Query.envelope ~kind:"error" ~net_hash:None ~exit_code [ ("error", J.Str msg) ])
 
-let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
+(* ----- the query endpoints -----
 
-(* ----- endpoint handlers ----- *)
+   A POST body decodes into one [Tpan.Query.t], answered by the same
+   [Query.run] the CLI calls. What stays here guards the socket's input:
+   the body's shape, the grid-point cap and the jobs cap.
 
-let h_analyze config obj =
-  let canonical = canonical_of_body obj in
-  let max_states =
-    match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
-  in
-  let throughputs = str_list_field "throughputs" obj in
-  match Tpan.Artifact.analysis ?max_states ~throughputs canonical with
-  | Ok report ->
-    (* the cached report is content-addressed and name-free; the name
-       comes from the request, as the CLI's comes from [-m] *)
-    let report = { report with Tpan.Analysis.model = str_field "model" obj } in
-    json 200
-      (envelope ~kind:"analysis"
-         ~net_hash:(Some (Tpan.Canonical.hash canonical))
-         ~exit_code:0
-         (Tpan.Analysis.report_fields report))
-  | Error e ->
-    error_response
-      ~net_hash:(Tpan.Canonical.hash canonical)
-      (status_of_error e) ~exit_code:(Tpan.Error.exit_code e) (Tpan.Error.to_string e)
+   A body names its net with exactly one of ["model"] (builtin, with
+   optional ["params"]) or ["net"] (inline .tpn source). Both land on
+   the same canonicalized artifact keys, so a model requested by name
+   and the same net posted as source share cache entries. *)
 
-let h_eval config obj =
-  let canonical = canonical_of_body obj in
-  let max_states =
-    match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
-  in
-  let transition =
-    match str_field "transition" obj with
-    | Some t -> t
-    | None -> bad "transition: required"
-  in
-  let point = bindings_field "point" obj in
-  match Tpan.Artifact.eval ?max_states canonical ~transition ~point with
-  | Ok v ->
-    json 200
-      (envelope ~kind:"eval"
-         ~net_hash:(Some (Tpan.Canonical.hash canonical))
-         ~exit_code:0
-         [
-           ("transition", J.Str transition);
-           ("throughput", J.Str (Q.to_string v));
-           ("decimal", J.Raw (qf v));
-           ("period", J.Str (if Q.is_zero v then "inf" else Q.to_string (Q.inv v)));
-         ])
-  | Error e ->
-    error_response
-      ~net_hash:(Tpan.Canonical.hash canonical)
-      (status_of_error e) ~exit_code:(Tpan.Error.exit_code e) (Tpan.Error.to_string e)
+let net_of_body obj =
+  match (str_field "model" obj, str_field "net" obj) with
+  | Some name, None -> Tpan.Query.Model { name; params = bindings_field "params" obj }
+  | None, Some src ->
+    if J.member "params" obj <> None then
+      bad "params: only builtin models take parameters (edit the net source)";
+    Tpan.Query.Source src
+  | _ -> bad "body must carry exactly one of \"model\" or \"net\""
 
 let axes_field obj =
   match J.member "axes" obj with
@@ -479,33 +400,6 @@ let axes_field obj =
       vs
   | Some _ -> bad "axes: expected a list"
 
-let sweep_fields (sw : Tpan_perf.Sweep.t) =
-  let row (r : Tpan_perf.Sweep.row) =
-    J.Obj
-      [
-        ("point", J.Obj (List.map (fun (n, q) -> (n, J.Str (Q.to_string q))) r.point));
-        ("values", J.Obj (List.map (fun (n, q) -> (n, J.Str (Q.to_string q))) r.values));
-        ( "error",
-          match r.error with None -> J.Null | Some e -> J.Str (Tpan.Error.to_string e) );
-      ]
-  in
-  [
-    ( "axes",
-      J.List
-        (List.map
-           (fun (a : Tpan_perf.Sweep.axis) ->
-             J.Obj
-               [
-                 ("name", J.Str a.name);
-                 ("lo", J.Str (Q.to_string a.lo));
-                 ("hi", J.Str (Q.to_string a.hi));
-                 ("steps", J.Int a.steps);
-               ])
-           sw.axes) );
-    ("columns", J.List (List.map (fun c -> J.Str c) sw.columns));
-    ("rows", J.List (List.map row sw.rows));
-  ]
-
 (* A grid's point count is the product of its axes' steps, known before
    any point is generated. Without a bound, one request could ask for a
    billion-element axis; the product saturates instead of overflowing. *)
@@ -517,37 +411,44 @@ let grid_points axes =
       if n > max_int / a.steps then max_int else n * a.steps)
     1 axes
 
-let h_sweep config obj =
-  let canonical = canonical_of_body obj in
+let query_of_body config path obj =
+  let net = net_of_body obj in
   let max_states =
     match int_field "max_states" obj with Some _ as s -> s | None -> config.max_states
   in
-  let transitions =
-    match str_list_field "transitions" obj with
-    | [] -> bad "transitions: at least one transition required"
-    | ts -> ts
+  match path with
+  | "/analyze" ->
+    Tpan.Query.Analyze { net; max_states; throughputs = str_list_field "throughputs" obj }
+  | "/eval" ->
+    let transition =
+      match str_field "transition" obj with
+      | Some t -> t
+      | None -> bad "transition: required"
+    in
+    Tpan.Query.Eval { net; max_states; transition; point = bindings_field "point" obj }
+  | _ (* "/sweep" *) ->
+    let transitions = str_list_field "transitions" obj in
+    let bindings = bindings_field "bindings" obj in
+    let axes = axes_field obj in
+    if grid_points axes > max_sweep_points then
+      bad (Printf.sprintf "axes: the grid has more than %d points" max_sweep_points);
+    (* the client picks the fan-out, but never beyond what [-j 0] would
+       use: each extra lane is a domain spawned for this one request *)
+    let jobs =
+      Option.map (min (Tpan_par.Pool.recommended_jobs ())) (int_field "jobs" obj)
+    in
+    Tpan.Query.Sweep { net; max_states; transitions; bindings; axes; jobs }
+
+let answer query =
+  let net_hash, outcome = Tpan.Query.run query in
+  Option.iter note_net_hash net_hash;
+  let status, exit_code =
+    match outcome with
+    | Ok _ -> (200, 0)
+    | Error e -> (Tpan.Error.http_status e, Tpan.Error.exit_code e)
   in
-  let bindings = bindings_field "bindings" obj in
-  let axes = axes_field obj in
-  if grid_points axes > max_sweep_points then
-    bad (Printf.sprintf "axes: the grid has more than %d points" max_sweep_points);
-  (* the client picks the fan-out, but never beyond what [-j 0] would
-     use: each extra lane is a domain spawned for this one request *)
-  let jobs =
-    Option.map (min (Tpan_par.Pool.recommended_jobs ())) (int_field "jobs" obj)
-  in
-  match
-    Tpan.Artifact.sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings ~axes
-  with
-  | Ok sw ->
-    json 200
-      (envelope ~kind:"sweep"
-         ~net_hash:(Some (Tpan.Canonical.hash canonical))
-         ~exit_code:0 (sweep_fields sw))
-  | Error e ->
-    error_response
-      ~net_hash:(Tpan.Canonical.hash canonical)
-      (status_of_error e) ~exit_code:(Tpan.Error.exit_code e) (Tpan.Error.to_string e)
+  note_exit_code exit_code;
+  json status (Tpan.Query.to_json ~net_hash outcome)
 
 (* ----- introspection endpoints ----- *)
 
@@ -753,12 +654,8 @@ let dispatch config ~meth ~path ~query ~body =
   | "GET", "/tracez" ->
     if wants_html query then html 200 (tracez_html ())
     else json 200 (Obs.Tracez.to_json ())
-  | "POST", "/analyze" ->
-    Admission.with_slot config (fun () -> h_analyze config (obj_of_body body))
-  | "POST", "/eval" ->
-    Admission.with_slot config (fun () -> h_eval config (obj_of_body body))
-  | "POST", "/sweep" ->
-    Admission.with_slot config (fun () -> h_sweep config (obj_of_body body))
+  | "POST", ("/analyze" | "/eval" | "/sweep") ->
+    Admission.with_slot config (fun () -> answer (query_of_body config path (obj_of_body body)))
   | _, ("/healthz" | "/metrics" | "/statusz" | "/tracez" | "/analyze" | "/eval" | "/sweep") ->
     raise (Http_error (405, Printf.sprintf "%s not allowed here" meth))
   | _ -> raise (Http_error (404, "no such endpoint"))
@@ -883,9 +780,6 @@ let handle config ~meth ~target ~body =
     Obs.Context.with_ctx ctx (fun () ->
         try dispatch config ~meth ~path ~query ~body with
         | Http_error (status, msg) -> error_response status ~exit_code:2 msg
-        | App_error e ->
-          error_response (status_of_error e) ~exit_code:(Tpan.Error.exit_code e)
-            (Tpan.Error.to_string e)
         | Admission.Overloaded retry_after ->
           error_response
             ~headers:[ ("Retry-After", string_of_int retry_after) ]

@@ -1,16 +1,20 @@
-(** [tpan serve] — a long-running analysis service over {!Tpan.Artifact}.
+(** [tpan serve] — a long-running analysis service over {!Tpan.Query}.
 
     A deliberately minimal HTTP/1.1 front end (raw [Unix] sockets, no
-    web framework in the toolchain) exposing the artifact functions:
+    web framework in the toolchain). Each POST body decodes into one
+    {!Tpan.Query.t}, answered by the same {!Tpan.Query.run} the CLI
+    calls, so a query gets the same bytes through either:
 
     - [POST /analyze] — full concrete analysis report
     - [POST /eval] — evaluate the cached closed-form throughput at a
       rational point (the million-user fast path: after the first
       request for a net, no symbolic build happens again)
-    - [POST /sweep] — closed-form parameter sweep, batched onto the
-      worker pool (the request's [jobs], capped at
-      {!Tpan_par.Pool.recommended_jobs}); a grid of more than 10,000
-      points answers [400] before any point is generated
+    - [POST /sweep] — parameter sweep, batched onto the worker pool
+      (the request's [jobs], capped at
+      {!Tpan_par.Pool.recommended_jobs}): a builtin with parameters
+      rebuilds its net per point, any other net evaluates its closed
+      forms; a grid of more than 10,000 points answers [400] before
+      any point is generated
     - [GET /metrics] — the {!Tpan_obs.Metrics} registry as OpenMetrics
       (includes [cache.*] hit/miss/eviction counters and [serve.*])
     - [GET /healthz] — liveness

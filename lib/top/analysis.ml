@@ -6,14 +6,11 @@ module Rates = Tpan_perf.Rates
 module M = Tpan_perf.Measures
 module J = Tpan_obs.Jsonv
 
-type source = File of string | Builtin of string | Net of Tpn.t
+type source = File of string | Builtin of string
 
 let load ?(params = []) source =
   Error.guard @@ fun () ->
   match source with
-  | Net tpn ->
-    if params <> [] then invalid_arg "Analysis.load: a Net source takes no parameters";
-    tpn
   | File path ->
     if params <> [] then
       invalid_arg "Analysis.load: a File source takes no parameters (edit the file)";

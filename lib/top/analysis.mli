@@ -19,7 +19,6 @@ module Tpn = Tpan_core.Tpn
 type source =
   | File of string  (** a [.tpn] description *)
   | Builtin of string  (** a {!Models} registry name *)
-  | Net of Tpn.t  (** an already-built net, passed through *)
 
 val load : ?params:(string * Q.t) list -> source -> (Tpn.t, Error.t) result
 (** [params] are parameter overrides for a [Builtin] source (rejected — as

@@ -2,7 +2,6 @@ module Q = Tpan_mathkit.Q
 module Tpn = Tpan_core.Tpn
 module SG = Tpan_core.Symbolic
 module M = Tpan_perf.Measures
-module Sweep = Tpan_perf.Sweep
 module Sim = Tpan_sim.Simulator
 module Rf = Tpan_symbolic.Ratfun
 module Cache = Tpan_cache.Cache
@@ -204,30 +203,6 @@ let closed_form ?max_states canonical ~transition =
 (* Point evaluations are memoized too: on large nets the exact rational
    evaluation of the closed form dominates a served request, and the
    result is a pure function of (net, transition, point). *)
-let eval_uncached ?max_states canonical ~transition ~point =
-  match closed_form ?max_states canonical ~transition with
-  | Error e -> Error e
-  | Ok expr -> (
-    match M.Symbolic.eval_at expr point with
-    | v -> Ok v
-    | exception Not_found ->
-      let bound = List.map fst point in
-      let missing =
-        List.sort_uniq String.compare
-          (List.filter_map
-             (fun v ->
-               let n = Tpan_symbolic.Var.name v in
-               if List.mem n bound then None else Some n)
-             (Tpan_symbolic.Poly.vars (Rf.num expr)
-             @ Tpan_symbolic.Poly.vars (Rf.den expr)))
-      in
-      Error
-        (Error.Invalid_input
-           (Printf.sprintf "point misses variable bindings: %s"
-              (String.concat ", " missing)))
-    | exception Division_by_zero ->
-      Error (Error.Unsupported "the throughput denominator vanishes at this point"))
-
 let eval ?max_states canonical ~transition ~point =
   let pt =
     List.sort String.compare
@@ -238,19 +213,8 @@ let eval ?max_states canonical ~transition ~point =
       (ms_key max_states) transition (String.concat "," pt)
   in
   cached (caches ()).eval_q key (fun () ->
-      eval_uncached ?max_states canonical ~transition ~point)
-
-let sweep_exprs ?max_states ?jobs canonical ~transitions ~bindings ~axes =
-  let rec forms acc = function
-    | [] -> Ok (List.rev acc)
-    | t :: rest -> (
-      match closed_form ?max_states canonical ~transition:t with
-      | Error e -> Error e
-      | Ok expr -> forms (("thr(" ^ t ^ ")", expr) :: acc) rest)
-  in
-  match forms [] transitions with
-  | Error e -> Error e
-  | Ok exprs -> Error.guard (fun () -> Sweep.over_expr ?jobs ~bindings ~exprs axes)
+      Result.bind (closed_form ?max_states canonical ~transition) (fun expr ->
+          M.Symbolic.eval expr point))
 
 let analysis ?max_states ?(throughputs = []) canonical =
   let key =

@@ -18,8 +18,9 @@
     Errors are never cached (a deadline abort must not poison the cache
     for later, better-funded requests).
 
-    The CLI subcommands and [tpan serve] share these functions, so
-    both front ends serve byte-identical results from one code path.
+    The CLI subcommands and [tpan serve] share these functions (the
+    query kinds through {!Query.run}), so both front ends serve
+    byte-identical results from one code path.
 
     Cache metrics land in the {!Tpan_obs.Metrics} registry under
     [cache.symbolic.*], [cache.closed_form.*], [cache.eval.*] and
@@ -79,17 +80,6 @@ val eval :
     The value itself is memoized (cache ["eval"]): on large nets the
     exact rational evaluation dominates a served request, and the
     result is a pure function of the net, transition and point. *)
-
-val sweep_exprs :
-  ?max_states:int ->
-  ?jobs:int ->
-  Canonical.t ->
-  transitions:string list ->
-  bindings:(string * Q.t) list ->
-  axes:Tpan_perf.Sweep.axis list ->
-  (Tpan_perf.Sweep.t, Error.t) result
-(** Closed-form sweep: derive (or hit) the cached throughput
-    expressions, then evaluate the grid on the worker pool. *)
 
 (** {1 Reports} *)
 

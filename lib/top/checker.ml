@@ -1,4 +1,4 @@
-(* Facade over [Tpan_check]: resolve a CLI-level source and a delivery
+(* Facade over [Tpan_check]: resolve a query's net and a delivery
    transition, then run the three-way differential check. *)
 
 module Check = Tpan_check.Check
@@ -6,13 +6,13 @@ module Gen = Tpan_check.Gen
 module Sampler = Tpan_check.Sampler
 module Shrink = Tpan_check.Shrink
 
-let default_delivery source tpn =
-  match source with
-  | Analysis.Builtin name -> (
+let default_delivery (net : Query.net) tpn =
+  match net with
+  | Model { name; _ } -> (
     match Models.find name with
     | Some m -> ( match m.Models.deliveries with d :: _ -> Some d | [] -> None)
     | None -> None)
-  | Analysis.File _ | Analysis.Net _ -> (
+  | File _ | Source _ -> (
     (* a lone zero-frequency-conflict partner (the stop-and-wait "ack
        beats timeout" shape) is a good guess; otherwise the caller must
        say which transition completes a delivery *)
@@ -33,18 +33,18 @@ let default_delivery source tpn =
     | [ t ] -> Some (Net.trans_name net t)
     | _ -> None)
 
-let check_source ?config ?delivery source =
-  match Analysis.load source with
+let check_source ?config ?delivery (net : Query.net) =
+  match Query.load net with
   | Error e -> Error e
   | Ok tpn -> (
     let name =
-      match source with
-      | Analysis.File path -> Filename.basename path
-      | Analysis.Builtin n -> n
-      | Analysis.Net t -> Tpan_petri.Net.name (Tpan_core.Tpn.net t)
+      match net with
+      | File path -> Filename.basename path
+      | Model { name; _ } -> name
+      | Source _ -> Tpan_petri.Net.name (Tpan_core.Tpn.net tpn)
     in
     let delivery =
-      match delivery with Some d -> Some d | None -> default_delivery source tpn
+      match delivery with Some d -> Some d | None -> default_delivery net tpn
     in
     match delivery with
     | None ->

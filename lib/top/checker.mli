@@ -1,7 +1,7 @@
 (** Facade entry point for the three-way differential checker.
 
     Re-exports {!Tpan_check} under the [Tpan] namespace and adds the
-    source-level plumbing the CLI needs: load a {!Analysis.source},
+    net-level plumbing the CLI needs: load a {!Query.net},
     resolve the delivery transition (explicitly, from the model registry,
     or by the zero-frequency-conflict heuristic), and run
     {!Tpan_check.Check.check_tpn}. *)
@@ -14,5 +14,5 @@ module Shrink = Tpan_check.Shrink
 val check_source :
   ?config:Check.config ->
   ?delivery:string ->
-  Analysis.source ->
+  Query.net ->
   (Check.outcome, Error.t) result

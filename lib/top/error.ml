@@ -11,6 +11,8 @@ let of_exn = function
   | Invalid_argument msg -> Some (Invalid_input msg)
   | e -> Tpan_perf.Errors.of_exn e
 
+let http_status e = match exit_code e with 6 -> 504 | 2 -> 400 | _ -> 422
+
 let guard f =
   match f () with
   | v -> Ok v

@@ -16,6 +16,10 @@ val to_string : t -> string
 val exit_code : t -> int
 (** Stable process exit codes — see {!Tpan_core.Error.exit_code}. *)
 
+val http_status : t -> int
+(** The socket's status for the same error: 504 for a deadline (exit 6),
+    400 for bad input (exit 2), 422 for every other analysis failure. *)
+
 val of_exn : exn -> t option
 (** Classifies core, perf and parser exceptions (and maps
     [Invalid_argument] onto [Invalid_input]); [None] for genuine bugs. *)

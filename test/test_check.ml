@@ -172,7 +172,7 @@ let test_injected_bug_caught () =
      | Error e -> Alcotest.fail (Tpan_core.Error.to_string e))
 
 let test_facade_check_source () =
-  match Tpan.Checker.check_source ~config:cfg (Tpan.Analysis.Builtin "stopwait") with
+  match Tpan.Checker.check_source ~config:cfg (Tpan.Query.Model { name = "stopwait"; params = [] }) with
   | Ok o ->
     Alcotest.(check bool) "builtin stopwait ok" true (CK.ok o);
     Alcotest.(check bool) "named after the model" true (o.CK.name = "stopwait")

@@ -87,10 +87,11 @@ let test_sweep () =
     ^ "-p 'f(t4)=0.05' -p 'f(t5)=0.95' -p 'f(t8)=0.95' -p 'f(t9)=0.05'")
     [ "E(t3)"; "0.003708"; "0.002851" ];
   (* concrete path: per-point rebuild + full analysis on the pool; the
-     symbolic closed form above must agree point for point *)
+     symbolic closed form above must agree point for point (0.003708 and
+     0.002851, exact in --json) *)
   check_run "sweep concrete"
     "sweep -m stopwait --vary timeout=250..1000:4 -j 2 --json"
-    [ "\"schema\": 2"; "\"exit_code\": 0"; "0.003708"; "0.002851" ]
+    [ "\"schema\": 2"; "\"exit_code\": 0"; "\"1805/486672\""; "\"1805/632922\"" ]
 
 let test_json_envelope () =
   (* schema 2 (default): one envelope around every machine document *)
@@ -172,13 +173,13 @@ let pinned_docs =
   "schema": 2,
   "kind": "sweep",
   "trace_id": "X",
-  "net_hash": null,
+  "net_hash": "3c4bdf1bb937a18cf4e83bad49928803",
   "exit_code": 0,
   "axes": [
     {
       "name": "timeout",
-      "lo": 250,
-      "hi": 500,
+      "lo": "250",
+      "hi": "500",
       "steps": 2
     }
   ],
@@ -189,21 +190,21 @@ let pinned_docs =
   "rows": [
     {
       "point": {
-        "timeout": 250
+        "timeout": "250"
       },
       "values": {
-        "thr(t7)": 0.003708,
-        "mean_cycle_time": 243.336
+        "thr(t7)": "1805/486672",
+        "mean_cycle_time": "30417/125"
       },
       "error": null
     },
     {
       "point": {
-        "timeout": 500
+        "timeout": "500"
       },
       "values": {
-        "thr(t7)": 0.003371,
-        "mean_cycle_time": 267.711
+        "thr(t7)": "1805/535422",
+        "mean_cycle_time": "267711/1000"
       },
       "error": null
     }
@@ -218,7 +219,15 @@ let test_json_pinned () =
       let rc, out = run_capture args in
       Alcotest.(check int) (args ^ " exits 0") 0 rc;
       Alcotest.(check string) args expected (mask_trace_id out))
-    pinned_docs
+    pinned_docs;
+  (* the same sweep posted to the server answers the same bytes *)
+  let r =
+    Tpan_serve.Serve.handle Tpan_serve.Serve.default_config ~meth:"POST" ~target:"/sweep"
+      ~body:{|{"model":"stopwait","axes":["timeout=250..500:2"]}|}
+  in
+  Alcotest.(check string) "POST /sweep answers the pinned sweep"
+    (List.assoc "sweep -m stopwait --vary timeout=250..500:2 --json" pinned_docs)
+    (mask_trace_id r.Tpan_serve.Serve.body)
 
 let test_sweep_determinism () =
   let args j =
@@ -525,6 +534,23 @@ let test_error_paths () =
   Alcotest.(check bool) "sweep rows name the transition" true
     (contains out3 {|error: unknown transition "nosuch"|})
 
+(* A sweep refuses what it would otherwise ignore or fail row by row,
+   before evaluating any point (both used to exit 0): an axis naming no
+   symbol of the net, and a grid leaving a variable of the closed form
+   unbound, which fails with /eval's message. *)
+let test_sweep_refusals () =
+  List.iter
+    (fun (args, needle) ->
+      let rc, out = run_capture args in
+      Alcotest.(check int) (args ^ ": exit code") 2 rc;
+      Alcotest.(check bool) (Printf.sprintf "%s: names %S" args needle) true (contains out needle))
+    [
+      ("sweep -m stopwait-sym -t t7 --vary nosuchvar=1..2:2", {|axis "nosuchvar"|});
+      ("sweep -m stopwait --vary nosuchvar=1..2:2", {|no parameter "nosuchvar"|});
+      ( "sweep -m stopwait-sym -t t7 --vary 'E(t3)=250..1000:2'",
+        "point misses variable bindings: F(t1)" );
+    ]
+
 (* Human and --json analyze agree on the exit code when there is no
    steady state: the TRG line stays on stdout, the reason goes to stderr. *)
 let test_analyze_no_steady_state () =
@@ -577,4 +603,5 @@ let suite =
       Alcotest.test_case "multi-lane trace at -j4" `Quick test_multilane_trace;
       Alcotest.test_case "analyze with no steady state exits 4" `Quick
         test_analyze_no_steady_state;
+      Alcotest.test_case "sweep refuses names the net lacks" `Quick test_sweep_refusals;
     ] )

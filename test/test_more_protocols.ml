@@ -163,7 +163,7 @@ let test_pipeline_every_path () =
        t.Tpan_perf.Sweep.rows);
   let module CK = Tpan.Checker.Check in
   let config = CK.quick CK.default in
-  match Tpan.Checker.check_source ~config (Tpan.Analysis.Builtin "pipeline") with
+  match Tpan.Checker.check_source ~config (Tpan.Query.Model { name = "pipeline"; params = [] }) with
   | Ok o ->
     Alcotest.(check int) "no skipped point" 0 (List.length o.CK.skipped);
     Alcotest.(check int) "the point agrees" o.CK.points o.CK.agreed

@@ -146,8 +146,9 @@ let test_sweep_json_deterministic () =
   in
   let render jobs =
     Tpan_obs.Jsonv.to_string
-      (Sweep.to_json
-         (Sweep.over_tpn ~jobs ~make:m.Models.make ~throughputs:m.Models.deliveries axes))
+      (Tpan_obs.Jsonv.Obj
+         (Sweep.fields
+            (Sweep.over_tpn ~jobs ~make:m.Models.make ~throughputs:m.Models.deliveries axes)))
   in
   let j1 = render 1 in
   Alcotest.(check bool) "non-trivial table" true (String.length j1 > 100);

@@ -421,6 +421,107 @@ let test_repeated_binding_rejected () =
   Alcotest.(check int) "distinct names still evaluate" 200 (once {|"250"|});
   Alcotest.(check int) "a sign after the decimal point" 400 (once {|"250.-5"|})
 
+(* The stop-and-wait point of the paper, without E(t3): a sweep's or a
+   point's remaining symbols. *)
+let paper_bindings =
+  {|"F(t1)":"1","F(t2)":"1","F(t3)":"1",
+    "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
+    "F(t8)":"106.7","F(t9)":"106.7",
+    "f(t4)":"0.05","f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"|}
+
+let error_of r =
+  match field (parse_body r) "error" with J.Str msg -> msg | _ -> Alcotest.fail "error must be a string"
+
+(* A name the net does not know used to be ignored: the point or the
+   grid was answered as if at another point (the default timeout of
+   1000, on every row). Every such name is now a 400 naming it. *)
+let test_unknown_names_rejected () =
+  let rejects what target body needles =
+    let r = handle "POST" target body in
+    Alcotest.(check int) (what ^ " answers 400") 400 r.Serve.status;
+    Alcotest.(check bool) (what ^ ": exit code 2") true (field (parse_body r) "exit_code" = J.Int 2);
+    List.iter
+      (fun needle ->
+        Alcotest.(check bool) (Printf.sprintf "%s: the message names %S" what needle) true
+          (contains (error_of r) needle))
+      needles
+  in
+  rejects "a parameter as a point variable" "/eval"
+    {|{"model":"stopwait","transition":"t7","point":{"timeout":"250"}}|}
+    [ {|"timeout"|}; "params" ];
+  rejects "an extra point variable" "/eval"
+    (Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{"E(t3)":"250",%s,"bogus":"3"}}|}
+       paper_bindings)
+    [ {|"bogus"|}; "E(t3)" ];
+  rejects "an axis naming no symbol" "/sweep"
+    (Printf.sprintf
+       {|{"model":"stopwait-sym","transitions":["t7"],"axes":["nosuchvar=1..2:2"],"bindings":{%s}}|}
+       paper_bindings)
+    [ {|"nosuchvar"|} ];
+  rejects "an axis naming no parameter" "/sweep"
+    {|{"model":"stopwait","transitions":["t7"],"axes":["nosuchvar=1..2:2"]}|}
+    [ {|"nosuchvar"|}; "timeout" ];
+  rejects "a binding on a model with parameters" "/sweep"
+    {|{"model":"stopwait","axes":["timeout=250..1000:2"],"bindings":{"F(t1)":"1"}}|}
+    [ {|"F(t1)"|}; "axes" ]
+
+(* [/sweep] on a builtin with parameters rebuilds the net at every grid
+   point, as [tpan sweep] does: it used to answer the default timeout's
+   1805/632922 on every row. *)
+let test_concrete_sweep_varies () =
+  let r =
+    handle "POST" "/sweep" {|{"model":"stopwait","transitions":["t7"],"axes":["timeout=250..1000:3"]}|}
+  in
+  Alcotest.(check int) "200" 200 r.Serve.status;
+  let column name =
+    match field (parse_body r) "rows" with
+    | J.List rows -> List.map (fun row -> J.member name (field row "values")) rows
+    | _ -> Alcotest.fail "rows must be a list"
+  in
+  Alcotest.(check bool) "thr(t7) at timeouts 250, 625, 1000" true
+    (column "thr(t7)"
+    = List.map (fun v -> Some (J.Str v)) [ "1805/486672"; "95/29463"; "1805/632922" ]);
+  Alcotest.(check bool) "a mean_cycle_time column" true
+    (List.for_all Option.is_some (column "mean_cycle_time"))
+
+(* [/eval] and a sweep row report one error for one point: the row used
+   to read "rate equations unsolvable: division by zero …" where [/eval]
+   said the denominator vanishes. *)
+let test_vanishing_denominator_one_error () =
+  let bindings =
+    {|"F(t1)":"1","F(t2)":"1","F(t3)":"1",
+      "F(t4)":"106.7","F(t5)":"106.7","F(t6)":"13.5","F(t7)":"13.5",
+      "F(t8)":"106.7","F(t9)":"106.7",
+      "f(t4)":"0","f(t5)":"0","f(t8)":"0.95","f(t9)":"0.05"|}
+  in
+  let eval =
+    handle "POST" "/eval"
+      (Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{"E(t3)":"250",%s}}|} bindings)
+  in
+  let sweep =
+    handle "POST" "/sweep"
+      (Printf.sprintf
+         {|{"model":"stopwait-sym","transitions":["t7"],"axes":["E(t3)=250..250:1"],"bindings":{%s}}|}
+         bindings)
+  in
+  Alcotest.(check string) "/eval" "the throughput denominator vanishes at this point" (error_of eval);
+  match field (parse_body sweep) "rows" with
+  | J.List [ row ] ->
+    Alcotest.(check bool) "the sweep row says the same" true
+      (field row "error" = J.Str (error_of eval))
+  | _ -> Alcotest.fail "one row expected"
+
+(* A grid that leaves a variable of the closed form unbound fails once,
+   before any point, with [/eval]'s message: it used to answer 200 with
+   "unknown variable in sweep point" on every row. *)
+let test_unbound_sweep_fails_once () =
+  let r =
+    handle "POST" "/sweep" {|{"model":"stopwait-sym","transitions":["t7"],"axes":["E(t3)=250..1000:2"]}|}
+  in
+  Alcotest.(check int) "400" 400 r.Serve.status;
+  Alcotest.(check bool) "names the missing bindings" true
+    (String.starts_with ~prefix:"point misses variable bindings: F(t1), F(t2)" (error_of r))
+
 let test_access_log_slow_dump_ledger () =
   let dir = tmp_dir () in
   let access = Filename.concat dir "access.ndjson" in
@@ -601,4 +702,10 @@ let suite =
       Alcotest.test_case "sweep jobs capped at recommended" `Quick test_sweep_jobs_capped;
       Alcotest.test_case "/analyze = analyze --json on every builtin" `Quick
         test_analyze_matches_cli;
+      Alcotest.test_case "names the net lacks answer 400" `Quick test_unknown_names_rejected;
+      Alcotest.test_case "a concrete builtin's sweep varies its parameters" `Quick
+        test_concrete_sweep_varies;
+      Alcotest.test_case "/eval and a sweep row share one error" `Quick
+        test_vanishing_denominator_one_error;
+      Alcotest.test_case "an unbound sweep fails once" `Quick test_unbound_sweep_fails_once;
     ] )
