@@ -1470,12 +1470,9 @@ let append_history path =
         ("checks", J.Obj [ ("passed", J.Int !passes); ("failed", J.Int !failures) ]);
       ]
   in
-  try
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    output_string oc (J.to_string line ^ "\n");
-    close_out oc;
-    Format.printf "appended %s@." path
-  with Sys_error msg -> Format.printf "warning: cannot append %s: %s@." path msg
+  match Tpan_obs.Ndjson.append path line with
+  | Ok () -> Format.printf "appended %s@." path
+  | Error msg -> Format.printf "warning: cannot append %s: %s@." path msg
 
 let () =
   Format.printf "tpan reproduction harness — Razouk, Timed Petri Net performance expressions@.";

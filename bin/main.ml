@@ -118,11 +118,6 @@ let write_ledger () =
   match !ledger_where with
   | None -> ()
   | Some dir ->
-    let stages =
-      List.map
-        (fun (stage, seconds, count) -> { Obs.Ledger.stage; seconds; count })
-        (Obs.Trace.stage_totals ())
-    in
     let subcommand =
       if Array.length Sys.argv > 1 && String.length Sys.argv.(1) > 0 && Sys.argv.(1).[0] <> '-'
       then Sys.argv.(1)
@@ -133,7 +128,7 @@ let write_ledger () =
         ~argv:(Array.to_list Sys.argv)
         ?model:!current_model
         ?trace_id:(Obs.Context.trace_id ())
-        ~stages
+        ~stages:(Obs.Ledger.stage_totals (Obs.Trace.events ()))
         ~metrics:(Obs.Metrics.to_json ~all:false ())
         ?report:!last_report ~exit_code:!exit_code
         ~duration:(Unix.gettimeofday () -. run_t0)
@@ -1485,7 +1480,7 @@ let top_cmd =
    context by the handler. *)
 let serve_cmd =
   let run host port socket deadline jobs log_level cache_mb cache_dir max_states
-      slow_ms access_log flight no_ledger ledger_dir max_requests_per_conn
+      slow_ms flight no_ledger ledger_dir max_requests_per_conn
       idle_timeout max_inflight max_conns warm =
     handle_errors (fun () ->
         (match jobs with
@@ -1514,7 +1509,6 @@ let serve_cmd =
             max_states = Some max_states;
             slow_ms;
             flight_path = Some (match flight with Some p -> p | None -> default_flight_file ());
-            access_log;
             ledger_dir =
               (if no_ledger then None
                else
@@ -1606,16 +1600,6 @@ let serve_cmd =
              flagged in /tracez and snapshot a flight-recorder dump scoped to their \
              trace id (see --flight and $(b,tpan top)).")
   in
-  let access_log_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "access-log" ] ~docv:"PATH"
-          ~doc:
-            "Append one NDJSON record per request (trace id, endpoint, status, exit \
-             code, latency, sizes, net hash, per-artifact cache hits/misses, deadline \
-             budget consumed) to $(docv).")
-  in
   let flight_arg =
     Arg.(
       value
@@ -1637,9 +1621,11 @@ let serve_cmd =
       & opt (some string) None
       & info [ "ledger-dir" ] ~docv:"DIR"
           ~doc:
-            "Run-ledger directory for per-request rows (subcommand \
-             $(b,serve:<endpoint>), queried by $(b,tpan runs --stats)); default \
-             $(b,.tpan) or \\$TPAN_DIR.")
+            "Run-ledger directory for per-request rows: subcommand \
+             $(b,serve:<endpoint>), trace id, stages, exit code, duration, and a \
+             $(b,request) object (method, path, status, body and response bytes, \
+             net hash, deadline budget consumed), queried by $(b,tpan runs); \
+             default $(b,.tpan) or \\$TPAN_DIR.")
   in
   let max_requests_per_conn_arg =
     Arg.(
@@ -1701,7 +1687,7 @@ let serve_cmd =
     Term.(
       const run $ host_arg $ port_arg $ socket_arg $ deadline_arg $ jobs_arg
       $ log_level_arg $ cache_budget_arg $ cache_dir_arg $ max_states_arg
-      $ slow_ms_arg $ access_log_arg $ flight_arg $ no_ledger_arg
+      $ slow_ms_arg $ flight_arg $ no_ledger_arg
       $ ledger_dir_arg $ max_requests_per_conn_arg $ idle_timeout_arg
       $ max_inflight_arg $ max_conns_arg $ warm_arg)
 

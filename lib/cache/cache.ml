@@ -1,6 +1,7 @@
 module J = Tpan_obs.Jsonv
 module Metrics = Tpan_obs.Metrics
 module Log = Tpan_obs.Log
+module Ndjson = Tpan_obs.Ndjson
 
 type 'a entry = { value : 'a; weight : int; mutable tick : int }
 
@@ -84,63 +85,44 @@ let unlocked_put ?(persist = true) (c : _ t) key value =
   | None -> ()
   | Some (path, encode) -> (
     let line =
-      J.to_string
-        (J.Obj
-           [
-             ("schema", J.Int schema);
-             ("kind", J.Str c.name);
-             ("key", J.Str key);
-             ("value", encode value);
-           ])
+      J.Obj
+        [
+          ("schema", J.Int schema);
+          ("kind", J.Str c.name);
+          ("key", J.Str key);
+          ("value", encode value);
+        ]
     in
-    try
-      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let b = Bytes.of_string (line ^ "\n") in
-          ignore (Unix.write fd b 0 (Bytes.length b)))
-    with Unix.Unix_error (err, _, _) ->
+    match Ndjson.append path line with
+    | Ok () -> ()
+    | Error e ->
       Log.warn "cache: cannot persist entry"
-        ~fields:
-          [ ("cache", J.Str c.name); ("error", J.Str (Unix.error_message err)) ])
+        ~fields:[ ("cache", J.Str c.name); ("error", J.Str e) ])
 
+(* Replays line by line, each entry inserted under the byte budget as it
+   is read: a file larger than the budget is never decoded whole. *)
 let load_persisted (c : _ t) decode path =
-  match open_in path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let skipped = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then
-               match J.of_string line with
-               | Ok doc -> (
-                 match (J.member "schema" doc, J.member "key" doc, J.member "value" doc) with
-                 | Some (J.Int s), Some (J.Str key), Some v when s = schema -> (
-                   match decode v with
-                   | Some value -> unlocked_put ~persist:false c key value
-                   | None -> incr skipped)
-                 | _ -> incr skipped)
-               | Error _ -> incr skipped
-           done
-         with End_of_file -> ());
-        if !skipped > 0 then
-          Log.warn "cache: skipped undecodable persisted entries"
-            ~fields:[ ("cache", J.Str c.name); ("skipped", J.Int !skipped) ])
+  let entry doc =
+    match (J.member "schema" doc, J.member "key" doc, J.member "value" doc) with
+    | Some (J.Int s), Some (J.Str key), Some v when s = schema ->
+      Option.map (fun value -> (key, value)) (decode v)
+    | _ -> None
+  in
+  let insert () (key, value) = unlocked_put ~persist:false c key value in
+  match Ndjson.fold path entry insert () with
+  | Ok ((), 0) -> ()
+  | Ok ((), skipped) ->
+    Log.warn "cache: skipped undecodable persisted entries"
+      ~fields:[ ("cache", J.Str c.name); ("skipped", J.Int skipped) ]
+  | Error e ->
+    Log.warn "cache: cannot replay persisted entries"
+      ~fields:[ ("cache", J.Str c.name); ("error", J.Str e) ]
 
 let create ~name ?(budget_bytes = 64 * 1024 * 1024) ?persist ?encode ?decode () =
   let persist_cfg =
     match (persist, encode, decode) with
     | None, _, _ -> None
-    | Some dir, Some enc, Some _ ->
-      (try
-         if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-       with Unix.Unix_error _ -> ());
-      Some (Filename.concat dir (name ^ ".ndjson"), enc)
+    | Some dir, Some enc, Some _ -> Some (Filename.concat dir (name ^ ".ndjson"), enc)
     | Some _, _, _ ->
       invalid_arg "Cache.create: persist requires both encode and decode"
   in
@@ -205,15 +187,17 @@ let clear c =
       c.bytes <- 0;
       publish_gauges c)
 
-let stats c =
-  locked c (fun () ->
-      {
-        hits = Metrics.Counter.value c.hits;
-        misses = Metrics.Counter.value c.misses;
-        evictions = Metrics.Counter.value c.evictions;
-        entries = Hashtbl.length c.table;
-        bytes = c.bytes;
-      })
+(* Read without the cache mutex, which [find_or_build] holds for a
+   whole build: counters and gauges are atomic cells, and the gauges
+   carry entries and bytes as of the last insertion or removal. *)
+let stats (c : _ t) =
+  {
+    hits = Metrics.Counter.value c.hits;
+    misses = Metrics.Counter.value c.misses;
+    evictions = Metrics.Counter.value c.evictions;
+    entries = int_of_float (Metrics.Gauge.value c.entries_g);
+    bytes = int_of_float (Metrics.Gauge.value c.bytes_g);
+  }
 
 let name c = c.name
 let budget_bytes c = c.budget

@@ -22,10 +22,12 @@
     symbolic build" on the miss counter.
 
     Persistence is opt-in and codec-based: pass [persist] (a directory)
-    together with [encode]/[decode] and every store appends one NDJSON
-    line [{"schema": 2, "kind": <name>, "key": …, "value": …}] to
-    [<dir>/<name>.ndjson]; a fresh instance replays the file at
-    creation (last write wins, byte budget enforced). Artifacts are
+    together with [encode]/[decode] and every store appends one line
+    [{"schema": 2, "kind": <name>, "key": …, "value": …}] to
+    [<dir>/<name>.ndjson] through {!Tpan_obs.Ndjson}; a fresh instance
+    replays the file at creation line by line, inserting each entry
+    under the byte budget as it is read (last write wins; a file larger
+    than the budget is never decoded whole). Artifacts are
     re-{e decoded} — never unmarshaled — so values built by an earlier
     process re-intern their symbols in this one. A line with any other
     schema is skipped like an undecodable one, and its artifact is
@@ -52,9 +54,10 @@ val create :
   unit ->
   'a t
 (** [budget_bytes] defaults to 64 MiB. [persist] without both codecs is
-    rejected ([Invalid_argument]); an unreadable or torn persistence
-    file degrades to an empty cache (a warning is logged, lines that do
-    not decode are skipped). *)
+    rejected ([Invalid_argument]); the directory is created by the first
+    store. An unreadable persistence file degrades to an empty cache,
+    and lines that do not parse or decode are skipped; either logs one
+    warning (the skipped count is {!Tpan_obs.Ndjson.fold}'s). *)
 
 val find : 'a t -> string -> 'a option
 (** Bumps the hit/miss counters and the entry's recency. *)
@@ -80,5 +83,9 @@ val clear : 'a t -> unit
     is left untouched — it is an append-only journal, not the truth). *)
 
 val stats : 'a t -> stats
+(** Takes no lock, so it never waits out a {!find_or_build} in
+    progress: the counters are atomic, and [entries] and [bytes] are the
+    gauges as of the last insertion or removal. *)
+
 val name : 'a t -> string
 val budget_bytes : 'a t -> int

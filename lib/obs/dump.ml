@@ -3,7 +3,7 @@
    A frame is a point-in-time snapshot of a running analysis: every
    domain's active span stack, per-domain checkpoint heartbeats, GC
    statistics, and the metrics registry. Frames are appended as NDJSON
-   to a flight file; [kind] distinguishes the watchdog's periodic
+   (see [Ndjson]) to a flight file; [kind] distinguishes the watchdog's periodic
    ["frame"] records from event-driven ["dump"] records (deadline,
    stall, SIGUSR1). [tpan top] tails or replays the file.
 
@@ -138,48 +138,10 @@ let of_json doc =
 
 (* ---------------- storage ---------------- *)
 
-(* O_APPEND like the ledger: the watchdog domain and a cancelling
-   analysis domain may both append; lines interleave whole. *)
-let append path f =
-  try
-    let dir = Filename.dirname path in
-    if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then
-      Unix.mkdir dir 0o755;
-    let fd =
-      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    in
-    let line = Jsonv.to_string (to_json f) ^ "\n" in
-    let bytes = Bytes.of_string line in
-    let rec write off =
-      if off < Bytes.length bytes then
-        write (off + Unix.write fd bytes off (Bytes.length bytes - off))
-    in
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> write 0);
-    Ok ()
-  with
-  | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | Sys_error msg -> Error msg
-
-let load path =
-  if not (Sys.file_exists path) then Ok []
-  else
-    try
-      let ic = open_in path in
-      let frames = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Jsonv.of_string line with
-             | Ok doc -> (
-               match of_json doc with
-               | Some f -> frames := f :: !frames
-               | None -> ())
-             | Error _ -> ()
-         done
-       with End_of_file -> close_in ic);
-      Ok (List.rev !frames)
-    with Sys_error msg -> Error msg
+(* The watchdog domain and a cancelling analysis domain may both
+   append; [Ndjson] lines interleave whole. *)
+let append path f = Ndjson.append path (to_json f)
+let load path = Result.map fst (Ndjson.load path of_json)
 
 (* ---------------- progress summary ---------------- *)
 

@@ -5,7 +5,7 @@
     stack ({!Trace.span_stacks} — maintained even with tracing off),
     per-domain checkpoint heartbeats ({!Cancel.heartbeats}), GC
     statistics, and the metrics registry. Frames round-trip through
-    {!Jsonv} and append as NDJSON to a {e flight file}; [kind] is
+    {!Jsonv} and append through {!Ndjson} to a {e flight file}; [kind] is
     ["frame"] for the watchdog's periodic records and ["dump"] for
     event-driven ones (deadline, stall, [SIGUSR1]). [tpan top] renders
     either kind, live or replayed. *)
@@ -33,8 +33,9 @@ val to_json : frame -> Jsonv.t
 val of_json : Jsonv.t -> frame option
 
 val append : string -> frame -> (unit, string) result
-(** Append one NDJSON line to the flight file ([O_APPEND]; concurrent
-    appenders interleave whole lines). Creates the parent directory. *)
+(** Append one line to the flight file with {!Ndjson.append}
+    (concurrent appenders interleave whole lines). Creates the parent
+    directory. *)
 
 val load : string -> (frame list, string) result
 (** All parseable frames, in file order. Missing file is [Ok \[\]];

@@ -169,6 +169,9 @@ let of_string s =
            else add_utf8 b code
          | _ -> fail "bad escape");
         loop ()
+      (* RFC 8259 §7: control characters appear in strings only escaped,
+         as [escape] writes them; a raw one is a corrupt line, not text *)
+      | '\000' .. '\031' -> fail "raw control character in string"
       | c ->
         Buffer.add_char b c;
         loop ()

@@ -37,7 +37,10 @@ val of_string : string -> (t, string) result
 (** Parse one complete JSON value (surrounding whitespace allowed;
     trailing garbage is an error). Numbers parse as {!Int} when written
     without a fraction or exponent and in native [int] range, {!Float}
-    otherwise. [\u]-escapes decode to UTF-8 (surrogate pairs included). *)
+    otherwise. [\u]-escapes decode to UTF-8 (surrogate pairs included).
+    A raw control character (U+0000–U+001F) inside a string is an error,
+    as RFC 8259 requires: {!escape} never writes one, so it marks a
+    corrupt line. *)
 
 (** {2 Accessors} *)
 

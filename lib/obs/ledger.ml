@@ -1,6 +1,5 @@
-(* Run records are append-only NDJSON: one JSON object per line in
-   <dir>/runs.ndjson. Appends use O_APPEND so concurrent invocations
-   interleave at line granularity; a torn or foreign line is skipped on
+(* Run records are append-only NDJSON (see [Ndjson]): one JSON object
+   per line in <dir>/runs.ndjson. A torn or foreign line is skipped on
    load rather than poisoning the whole history. *)
 
 let schema_version = 1
@@ -18,12 +17,13 @@ type record = {
   stages : stage list;
   metrics : Jsonv.t;
   report : Jsonv.t option;
+  request : Jsonv.t option;
   exit_code : int;
   duration : float;
 }
 
 let make ~version ~timestamp ~subcommand ~argv ?model ?trace_id ?(stages = [])
-    ?(metrics = Jsonv.List []) ?report ~exit_code ~duration () =
+    ?(metrics = Jsonv.List []) ?report ?request ~exit_code ~duration () =
   {
     schema = schema_version;
     version;
@@ -35,37 +35,54 @@ let make ~version ~timestamp ~subcommand ~argv ?model ?trace_id ?(stages = [])
     stages;
     metrics;
     report;
+    request;
     exit_code;
     duration;
   }
 
+(* Span totals per name, sorted by name: the per-stage breakdown of a
+   CLI run (every buffered event) or of one served request (its own
+   span tree). *)
+let stage_totals (events : Trace.event list) =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (e : Trace.event) ->
+      let seconds, count =
+        match Hashtbl.find_opt tbl e.name with Some x -> x | None -> (0., 0)
+      in
+      Hashtbl.replace tbl e.name (seconds +. e.dur, count + 1))
+    events;
+  Hashtbl.fold (fun stage (seconds, count) acc -> { stage; seconds; count } :: acc) tbl []
+  |> List.sort (fun a b -> compare a.stage b.stage)
+
+(* [request] is written only when present, so CLI rows keep their bytes *)
 let to_json r =
   Jsonv.Obj
-    [
-      ("schema", Jsonv.Int r.schema);
-      ("version", Jsonv.Str r.version);
-      ("timestamp", Jsonv.Float r.timestamp);
-      ("subcommand", Jsonv.Str r.subcommand);
-      ("argv", Jsonv.List (List.map (fun a -> Jsonv.Str a) r.argv));
-      ("model", match r.model with None -> Jsonv.Null | Some m -> Jsonv.Str m);
-      ( "trace_id",
-        match r.trace_id with None -> Jsonv.Null | Some t -> Jsonv.Str t );
-      ( "stages",
-        Jsonv.List
-          (List.map
-             (fun s ->
-               Jsonv.Obj
-                 [
-                   ("stage", Jsonv.Str s.stage);
-                   ("seconds", Jsonv.Float s.seconds);
-                   ("count", Jsonv.Int s.count);
-                 ])
-             r.stages) );
-      ("metrics", r.metrics);
-      ("report", match r.report with None -> Jsonv.Null | Some j -> j);
-      ("exit_code", Jsonv.Int r.exit_code);
-      ("duration", Jsonv.Float r.duration);
-    ]
+    ([
+       ("schema", Jsonv.Int r.schema);
+       ("version", Jsonv.Str r.version);
+       ("timestamp", Jsonv.Float r.timestamp);
+       ("subcommand", Jsonv.Str r.subcommand);
+       ("argv", Jsonv.List (List.map (fun a -> Jsonv.Str a) r.argv));
+       ("model", match r.model with None -> Jsonv.Null | Some m -> Jsonv.Str m);
+       ( "trace_id",
+         match r.trace_id with None -> Jsonv.Null | Some t -> Jsonv.Str t );
+       ( "stages",
+         Jsonv.List
+           (List.map
+              (fun s ->
+                Jsonv.Obj
+                  [
+                    ("stage", Jsonv.Str s.stage);
+                    ("seconds", Jsonv.Float s.seconds);
+                    ("count", Jsonv.Int s.count);
+                  ])
+              r.stages) );
+       ("metrics", r.metrics);
+       ("report", match r.report with None -> Jsonv.Null | Some j -> j);
+     ]
+    @ (match r.request with None -> [] | Some j -> [ ("request", j) ])
+    @ [ ("exit_code", Jsonv.Int r.exit_code); ("duration", Jsonv.Float r.duration) ])
 
 let of_json doc =
   let open Jsonv in
@@ -111,6 +128,7 @@ let of_json doc =
         stages;
         metrics = (match member "metrics" doc with Some m -> m | None -> List []);
         report = (match member "report" doc with Some Null | None -> None | Some j -> Some j);
+        request = member "request" doc;
         exit_code = (match int "exit_code" with Some c -> c | None -> 0);
         duration = (match num "duration" with Some d -> d | None -> 0.);
       }
@@ -237,42 +255,8 @@ let runs_file dir = Filename.concat dir "runs.ndjson"
 
 let append ?dir record =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  try
-    if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-    let fd =
-      Unix.openfile (runs_file dir) [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
-    in
-    let line = Jsonv.to_string (to_json record) ^ "\n" in
-    let bytes = Bytes.of_string line in
-    let rec write off =
-      if off < Bytes.length bytes then
-        write (off + Unix.write fd bytes off (Bytes.length bytes - off))
-    in
-    Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> write 0);
-    Ok ()
-  with
-  | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-  | Sys_error msg -> Error msg
+  Ndjson.append (runs_file dir) (to_json record)
 
 let load ?dir () =
   let dir = match dir with Some d -> d | None -> default_dir () in
-  let path = runs_file dir in
-  if not (Sys.file_exists path) then Ok []
-  else
-    try
-      let ic = open_in path in
-      let records = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then
-             match Jsonv.of_string line with
-             | Ok doc -> (
-               match of_json doc with
-               | Some r -> records := r :: !records
-               | None -> ())
-             | Error _ -> ()
-         done
-       with End_of_file -> close_in ic);
-      Ok (List.rev !records)
-    with Sys_error msg -> Error msg
+  Result.map fst (Ndjson.load (runs_file dir) of_json)

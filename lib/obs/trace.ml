@@ -150,16 +150,6 @@ let take_events ~trace_id =
 let total_duration name =
   List.fold_left (fun acc e -> if e.name = name then acc +. e.dur else acc) 0. !completed
 
-let stage_totals () =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun e ->
-      let dur, n = match Hashtbl.find_opt tbl e.name with Some x -> x | None -> (0., 0) in
-      Hashtbl.replace tbl e.name (dur +. e.dur, n + 1))
-    !completed;
-  Hashtbl.fold (fun name (dur, n) acc -> (name, dur, n) :: acc) tbl []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
 (* ---------------- NDJSON export ---------------- *)
 
 let escape = Jsonv.escape

@@ -95,11 +95,6 @@ val take_events : trace_id:string -> event list
 val total_duration : string -> float
 (** Sum of [dur] over completed events with that name; [0.] if none. *)
 
-val stage_totals : unit -> (string * float * int) list
-(** Aggregate the buffered events by name: [(name, total seconds,
-    count)], sorted by name. The per-stage breakdown the run ledger
-    records. *)
-
 (** {1 Export} *)
 
 val write_ndjson : out_channel -> unit

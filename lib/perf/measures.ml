@@ -16,6 +16,14 @@ let times_int field x n =
   let rec go acc n = if n = 0 then acc else go (field.Rates.add acc x) (n - 1) in
   go field.Rates.zero n
 
+(* Every per-unit-time measure divides by the mean cycle time: a
+   recurrent cycle that takes no time has none. *)
+let per_unit_time (res : _ Rates.result) num =
+  match res.Rates.field.Rates.div num res.Rates.total_weight with
+  | v -> v
+  | exception Division_by_zero ->
+    raise (Rates.Unsolvable "the recurrent cycle takes no time (mean cycle time 0)")
+
 let throughput_of_transition (res : _ Rates.result) ~by t =
   let field = res.Rates.field in
   let count (e : _ Decision_graph.dedge) =
@@ -27,7 +35,7 @@ let throughput_of_transition (res : _ Rates.result) ~by t =
       (fun acc (re : _ Rates.rated_edge) -> field.Rates.add acc (times_int field re.rate (count re.edge)))
       field.Rates.zero res.Rates.edge_rate
   in
-  field.Rates.div num res.Rates.total_weight
+  per_unit_time res num
 
 let edge_time_share (res : _ Rates.result) pred =
   let field = res.Rates.field in
@@ -36,7 +44,7 @@ let edge_time_share (res : _ Rates.result) pred =
       (fun acc (re : _ Rates.rated_edge) -> if pred re.edge then field.Rates.add acc re.weight else acc)
       field.Rates.zero res.Rates.edge_rate
   in
-  field.Rates.div num res.Rates.total_weight
+  per_unit_time res num
 
 let mean_time_between_visits (res : _ Rates.result) n =
   res.Rates.field.Rates.div res.Rates.total_weight (res.Rates.visit_rate n)
@@ -79,7 +87,7 @@ module Concrete = struct
         in
         walk re.edge.Decision_graph.path)
       res.Rates.edge_rate;
-    Q.div !num res.Rates.total_weight
+    per_unit_time res !num
 end
 
 module Symbolic = struct

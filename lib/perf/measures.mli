@@ -2,7 +2,9 @@
     throughput, relative time per edge, utilization, cycle times.
 
     All relative rates are turned absolute by dividing by
-    [total_weight = Σ r_e·d_e], the mean time per normalized cycle. *)
+    [total_weight = Σ r_e·d_e], the mean time per normalized cycle. Each
+    measure that divides by it raises [Rates.Unsolvable] when the
+    recurrent cycle takes no time ([total_weight = 0]). *)
 
 module Net = Tpan_petri.Net
 

@@ -79,15 +79,13 @@ type t = { axes : axis list; columns : string list; rows : row list }
 let qf q = Format.asprintf "%a" (Q.pp_decimal ~digits:6) q
 
 (* A failure [over_tpn] raises at a point becomes that row's error; a
-   genuinely unclassifiable exception is a bug and propagates. A net
-   whose cycle takes no time divides by a zero mean cycle time. *)
+   genuinely unclassifiable exception is a bug and propagates. *)
 let classify e =
   match Errors.of_exn e with
   | Some err -> err
   | None -> (
     match e with
     | Invalid_argument msg | Failure msg -> Error.Invalid_input msg
-    | Division_by_zero -> Error.Unsolvable "division by zero while evaluating measure"
     | e -> raise e)
 
 (* A cancelled point aborts the whole sweep: the deadline belongs to the

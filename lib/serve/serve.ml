@@ -11,7 +11,6 @@ type config = {
   max_body : int;
   slow_ms : float option;
   flight_path : string option;
-  access_log : string option;
   ledger_dir : string option;
   max_requests_per_conn : int;
   idle_timeout : float;
@@ -30,7 +29,6 @@ let default_config =
     max_body = 8 * 1024 * 1024;
     slow_ms = None;
     flight_path = None;
-    access_log = None;
     ledger_dir = None;
     max_requests_per_conn = 1000;
     idle_timeout = 30.;
@@ -109,44 +107,23 @@ let total_errors types =
        (fun ep -> List.map (Printf.sprintf "{endpoint=%S,type=%S}" ep) types)
        all_endpoints)
 
-(* In-flight requests, keyed by trace id. The handler publishes each
-   request here for /statusz and keeps a domain-local pointer so the
-   query and error responses can annotate the record (net hash, exit
-   code) without threading it through the dispatch. *)
+(* In-flight requests, keyed by trace id: what /statusz shows. *)
 type inflight = {
   if_trace_id : string;
   if_name : string;  (* "POST /eval" *)
-  if_endpoint : string;
   if_start : float;
-  mutable if_net_hash : string option;
-  mutable if_exit_code : int option;
 }
 
 let inflight : (string, inflight) Hashtbl.t = Hashtbl.create 16
 let inflight_lock = Mutex.create ()
 
-let current_req : inflight option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let note_net_hash h =
-  match !(Domain.DLS.get current_req) with
-  | Some r -> r.if_net_hash <- Some h
-  | None -> ()
-
-let note_exit_code c =
-  match !(Domain.DLS.get current_req) with
-  | Some r -> r.if_exit_code <- Some c
-  | None -> ()
-
 let inflight_add r =
   Mutex.protect inflight_lock (fun () ->
       Hashtbl.replace inflight r.if_trace_id r;
       Obs.Metrics.Gauge.set (Lazy.force m_inflight)
-        (float_of_int (Hashtbl.length inflight)));
-  Domain.DLS.get current_req := Some r
+        (float_of_int (Hashtbl.length inflight)))
 
 let inflight_remove r =
-  Domain.DLS.get current_req := None;
   Mutex.protect inflight_lock (fun () ->
       Hashtbl.remove inflight r.if_trace_id;
       Obs.Metrics.Gauge.set (Lazy.force m_inflight)
@@ -156,58 +133,6 @@ let inflight_list () =
   Mutex.protect inflight_lock (fun () ->
       Hashtbl.fold (fun _ r acc -> r :: acc) inflight [])
   |> List.sort (fun a b -> compare a.if_start b.if_start)
-
-(* ----- access log -----
-
-   One NDJSON record per served request, written through
-   {!Obs.Log.ndjson_sink} so the line format matches every other log
-   the toolchain produces. The channel is opened on first use and
-   reopened if the configured path changes; writes are serialized. *)
-
-let access_lock = Mutex.create ()
-let access_chan : (string * out_channel) option ref = ref None
-
-let access_write path record =
-  Mutex.protect access_lock (fun () ->
-      let oc =
-        match !access_chan with
-        | Some (p, oc) when p = path -> Some oc
-        | prev -> (
-          (match prev with
-          | Some (_, oc) -> ( try close_out oc with Sys_error _ -> ())
-          | None -> ());
-          match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-          | oc ->
-            access_chan := Some (path, oc);
-            Some oc
-          | exception Sys_error _ ->
-            access_chan := None;
-            None)
-      in
-      match oc with
-      | Some oc -> ( try Obs.Log.ndjson_sink oc record with Sys_error _ -> ())
-      | None -> ())
-
-let cache_counts () =
-  List.map
-    (fun (k, (s : Tpan_cache.Cache.stats)) -> (k, s.hits, s.misses))
-    (Tpan.Artifact.cache_stats ())
-
-(* Cache activity while the request ran, as the difference of the
-   process-wide counters around it. Connections run concurrently, so
-   the difference also counts lookups made by overlapping requests. *)
-let cache_delta before after =
-  List.filter_map
-    (fun (k, h1, m1) ->
-      let h0, m0 =
-        match List.find_opt (fun (k0, _, _) -> k0 = k) before with
-        | Some (_, h, m) -> (h, m)
-        | None -> (0, 0)
-      in
-      if h1 = h0 && m1 = m0 then None
-      else
-        Some (k, J.Obj [ ("hits", J.Int (h1 - h0)); ("misses", J.Int (m1 - m0)) ]))
-    after
 
 (* [Http_error] is a protocol-level rejection (bad route, bad JSON);
    application failures come back from [Tpan.Query.run] as
@@ -349,7 +274,6 @@ let json ?(headers = []) status doc =
   }
 
 let error_response ?(headers = []) status ~exit_code msg =
-  note_exit_code exit_code;
   json ~headers status
     (Tpan.Query.envelope ~kind:"error" ~net_hash:None ~exit_code [ ("error", J.Str msg) ])
 
@@ -439,16 +363,16 @@ let query_of_body config path obj =
     in
     Tpan.Query.Sweep { net; max_states; transitions; bindings; axes; jobs }
 
+(* A dispatched request answers its response, its net hash and its
+   exit code: the last two go to the request's ledger row. *)
 let answer query =
   let net_hash, outcome = Tpan.Query.run query in
-  Option.iter note_net_hash net_hash;
   let status, exit_code =
     match outcome with
     | Ok _ -> (200, 0)
     | Error e -> (Tpan.Error.http_status e, Tpan.Error.exit_code e)
   in
-  note_exit_code exit_code;
-  json status (Tpan.Query.to_json ~net_hash outcome)
+  (json status (Tpan.Query.to_json ~net_hash outcome), net_hash, exit_code)
 
 (* ----- introspection endpoints ----- *)
 
@@ -638,29 +562,32 @@ let wants_html query =
 (* ----- dispatch ----- *)
 
 let dispatch config ~meth ~path ~query ~body =
+  let introspection resp = (resp, None, 0) in
   match (meth, path) with
   | "GET", "/healthz" ->
-    json 200 (J.Obj [ ("schema", J.Int 2); ("status", J.Str "ok") ])
+    introspection (json 200 (J.Obj [ ("schema", J.Int 2); ("status", J.Str "ok") ]))
   | "GET", "/metrics" ->
-    {
-      status = 200;
-      content_type = "application/openmetrics-text; version=1.0.0; charset=utf-8";
-      body = Obs.Metrics.to_openmetrics ();
-      headers = [];
-    }
+    introspection
+      {
+        status = 200;
+        content_type = "application/openmetrics-text; version=1.0.0; charset=utf-8";
+        body = Obs.Metrics.to_openmetrics ();
+        headers = [];
+      }
   | "GET", "/statusz" ->
-    if wants_html query then html 200 (statusz_html ())
-    else json 200 (statusz_json ())
+    introspection
+      (if wants_html query then html 200 (statusz_html ()) else json 200 (statusz_json ()))
   | "GET", "/tracez" ->
-    if wants_html query then html 200 (tracez_html ())
-    else json 200 (Obs.Tracez.to_json ())
+    introspection
+      (if wants_html query then html 200 (tracez_html ())
+       else json 200 (Obs.Tracez.to_json ()))
   | "POST", ("/analyze" | "/eval" | "/sweep") ->
     Admission.with_slot config (fun () -> answer (query_of_body config path (obj_of_body body)))
   | _, ("/healthz" | "/metrics" | "/statusz" | "/tracez" | "/analyze" | "/eval" | "/sweep") ->
     raise (Http_error (405, Printf.sprintf "%s not allowed here" meth))
   | _ -> raise (Http_error (404, "no such endpoint"))
 
-(* ----- the request wrapper: metrics, tracez, access log, ledger ----- *)
+(* ----- the request wrapper: metrics, tracez, ledger ----- *)
 
 let split_target target =
   match String.index_opt target '?' with
@@ -683,76 +610,41 @@ let split_target target =
     in
     (path, params)
 
-let stage_totals_of spans =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Obs.Trace.event) ->
-      let dur, n =
-        match Hashtbl.find_opt tbl e.Obs.Trace.name with
-        | Some x -> x
-        | None -> (0., 0)
-      in
-      Hashtbl.replace tbl e.Obs.Trace.name (dur +. e.Obs.Trace.dur, n + 1))
-    spans;
-  Hashtbl.fold
-    (fun stage (seconds, count) acc -> { Obs.Ledger.stage; seconds; count } :: acc)
-    tbl []
-  |> List.sort (fun (a : Obs.Ledger.stage) b -> compare a.stage b.stage)
-
-let access_record config ~req ~meth ~path ~status ~dur ~body_bytes ~resp_bytes
-    ~cache_fields =
-  let exit_code =
-    match req.if_exit_code with
-    | Some c -> c
-    | None -> if status >= 400 then 1 else 0
-  in
-  {
-    Obs.Log.ts = req.if_start;
-    level = Obs.Log.Info;
-    msg = "access";
-    lane = Obs.Trace.current_lane ();
-    trace_id = Some req.if_trace_id;
-    fields =
-      [
-        ("method", J.Str meth);
-        ("path", J.Str path);
-        ("endpoint", J.Str req.if_endpoint);
-        ("status", J.Int status);
-        ("exit_code", J.Int exit_code);
-        ("latency_s", J.Float dur);
-        ("body_bytes", J.Int body_bytes);
-        ("resp_bytes", J.Int resp_bytes);
-        ( "net_hash",
-          match req.if_net_hash with Some h -> J.Str h | None -> J.Null );
-        ("cache", J.Obj cache_fields);
-        ( "deadline_budget_s",
-          match config.deadline with Some b -> J.Float b | None -> J.Null );
-        ( "deadline_consumed",
-          match config.deadline with
-          | Some b when b > 0. -> J.Float (dur /. b)
-          | _ -> J.Null );
-      ];
-  }
-
-let ledger_row config ~req ~status ~dur ~stages =
-  let exit_code =
-    match req.if_exit_code with
-    | Some c -> c
-    | None -> if status >= 400 then 1 else 0
-  in
+(* A served request's ledger row, its only persisted record: the row's
+   [request] object carries the HTTP facts. Built from values [handle]
+   already holds, so it takes no cache mutex. *)
+let ledger_row config ~req ~endpoint ~meth ~path ~body ~resp ~net_hash ~exit_code ~dur
+    ~spans =
   match config.ledger_dir with
   | None -> ()
-  | Some dir ->
+  | Some dir -> (
+    let request =
+      J.Obj
+        [
+          ("method", J.Str meth);
+          ("path", J.Str path);
+          ("status", J.Int resp.status);
+          ("body_bytes", J.Int (String.length body));
+          ("resp_bytes", J.Int (String.length resp.body));
+          ("net_hash", match net_hash with Some h -> J.Str h | None -> J.Null);
+          ( "deadline_budget_s",
+            match config.deadline with Some b -> J.Float b | None -> J.Null );
+          ( "deadline_consumed",
+            match config.deadline with
+            | Some b when b > 0. -> J.Float (dur /. b)
+            | _ -> J.Null );
+        ]
+    in
     let row =
       Obs.Ledger.make ~version:Tpan.Version.string ~timestamp:req.if_start
-        ~subcommand:("serve:" ^ req.if_endpoint)
+        ~subcommand:("serve:" ^ endpoint)
         ~argv:[ "serve"; req.if_name ]
-        ~trace_id:req.if_trace_id ~stages ~exit_code ~duration:dur ()
+        ~trace_id:req.if_trace_id ~stages:(Obs.Ledger.stage_totals spans) ~request
+        ~exit_code ~duration:dur ()
     in
-    (match Obs.Ledger.append ~dir row with
+    match Obs.Ledger.append ~dir row with
     | Ok () -> ()
-    | Error e ->
-      Obs.Log.warn "serve: ledger append failed" ~fields:[ ("error", J.Str e) ])
+    | Error e -> Obs.Log.warn "serve: ledger append failed" ~fields:[ ("error", J.Str e) ])
 
 let handle config ~meth ~target ~body =
   let t0 = Unix.gettimeofday () in
@@ -761,32 +653,23 @@ let handle config ~meth ~target ~body =
   let name = meth ^ " " ^ endpoint in
   let ctx = Obs.Context.make ?deadline:config.deadline () in
   let tid = ctx.Obs.Context.trace_id in
-  let req =
-    {
-      if_trace_id = tid;
-      if_name = name;
-      if_endpoint = endpoint;
-      if_start = t0;
-      if_net_hash = None;
-      if_exit_code = None;
-    }
-  in
-  let caches_before =
-    if config.access_log <> None then Some (cache_counts ()) else None
-  in
+  let req = { if_trace_id = tid; if_name = name; if_start = t0 } in
   Obs.Metrics.Counter.incr (ep_requests endpoint);
   inflight_add req;
-  let resp =
+  let failed ?headers status ~exit_code msg =
+    (error_response ?headers status ~exit_code msg, None, exit_code)
+  in
+  let resp, net_hash, exit_code =
     Obs.Context.with_ctx ctx (fun () ->
         try dispatch config ~meth ~path ~query ~body with
-        | Http_error (status, msg) -> error_response status ~exit_code:2 msg
+        | Http_error (status, msg) -> failed status ~exit_code:2 msg
         | Admission.Overloaded retry_after ->
-          error_response
+          failed
             ~headers:[ ("Retry-After", string_of_int retry_after) ]
             503 ~exit_code:1 "server overloaded, try again shortly"
         | Obs.Cancel.Cancelled reason ->
-          error_response 504 ~exit_code:6 (Obs.Cancel.reason_to_string reason)
-        | exn -> error_response 500 ~exit_code:1 (Printexc.to_string exn))
+          failed 504 ~exit_code:6 (Obs.Cancel.reason_to_string reason)
+        | exn -> failed 500 ~exit_code:1 (Printexc.to_string exn))
   in
   let dur = Unix.gettimeofday () -. t0 in
   inflight_remove req;
@@ -804,15 +687,7 @@ let handle config ~meth ~target ~body =
       Obs.Dump.write_dump ~trace_id:tid p
         (Printf.sprintf "slow-request %s %.1fms" name (dur *. 1000.))
     | None -> ());
-  (match (config.access_log, caches_before) with
-  | Some log_path, Some before ->
-    let cache_fields = cache_delta before (cache_counts ()) in
-    access_write log_path
-      (access_record config ~req ~meth ~path ~status:resp.status ~dur
-         ~body_bytes:(String.length body)
-         ~resp_bytes:(String.length resp.body) ~cache_fields)
-  | _ -> ());
-  ledger_row config ~req ~status:resp.status ~dur ~stages:(stage_totals_of spans);
+  ledger_row config ~req ~endpoint ~meth ~path ~body ~resp ~net_hash ~exit_code ~dur ~spans;
   resp
 
 (* ----- the HTTP/1.1 listener -----
@@ -1115,12 +990,6 @@ let write_response config fd resp ~keep_alive =
        resp.status (status_text resp.status) resp.content_type
        (String.length resp.body) extra conn_header resp.body)
 
-(* Framing-level failures close the connection: after a malformed head,
-   an oversized or stalled body, resynchronizing on the stream would
-   risk reading body bytes as a request line. Application errors
-   (404/422/504/...) answer and keep the connection. *)
-let closing_status = function 400 | 408 | 413 | 501 -> true | _ -> false
-
 (* A request rejected while framing (bad head, stalled read, oversize or
    chunked body) never reaches [handle] and has no route: it counts as an
    "http" error of the "other" endpoint. *)
@@ -1142,9 +1011,12 @@ let serve_connection config conn =
         let length = Option.value (content_length head.req_headers) ~default:0 in
         let body = read_body config conn ~length in
         let resp = handle config ~meth:head.meth ~target:head.target ~body in
+        (* whatever [handle] answers, a 400 included, leaves the stream in
+           step: its body was read whole. Framing failures are raised
+           before it and close below, since resynchronizing on a suspect
+           stream risks reading body bytes as a request line. *)
         let keep =
           wants_keep_alive head
-          && (not (closing_status resp.status))
           && served + 1 < limit
           && not (Atomic.get stop)
         in
@@ -1310,8 +1182,6 @@ let run ?(ready = fun _ -> ()) config =
           match config.socket_path with Some p -> J.Str p | None -> J.Null );
         ( "slow_ms",
           match config.slow_ms with Some ms -> J.Float ms | None -> J.Null );
-        ( "access_log",
-          match config.access_log with Some p -> J.Str p | None -> J.Null );
       ];
   (* Accept one connection; [None] means retry (spurious wakeup, EAGAIN
      race) or shutdown. The select blocks without a timeout — the wake

@@ -40,16 +40,16 @@
     these series. Metric cells are safe from any domain, so the
     connection domains bump them without a lock of their own.
 
-    Optionally the server also writes an NDJSON {e access log} (one
-    {!Tpan_obs.Log} record per request: trace id, method, path, status,
-    exit code, latency, body sizes, net hash, the per-artifact cache
-    hits/misses made while the request ran — lookups by overlapping
-    requests included — and deadline budget consumed), appends one
-    run-ledger row
-    per request (subcommand ["serve:<endpoint>"], so
+    Each request is recorded on disk once: with [ledger_dir] set, one
+    run-ledger row (subcommand ["serve:<endpoint>"], so
     [tpan runs --stats] reports per-endpoint latency percentiles and
-    exit codes), and snapshots a flight-recorder dump scoped to the
-    request's trace id whenever a request exceeds [slow_ms].
+    exit codes) whose [request] object holds the HTTP facts — method,
+    path, status, body and response sizes, net hash and deadline budget
+    consumed (see {!Tpan_obs.Ledger}). The row is built from what the
+    handler already holds and takes no cache lock; per-artifact cache
+    counts are [/statusz]'s and [/metrics]'. A request that exceeds
+    [slow_ms] also snapshots a flight-recorder dump scoped to its trace
+    id.
 
     Every request runs under a fresh {!Tpan_obs.Context} (trace id in
     every response envelope; the configured deadline as the request's
@@ -65,8 +65,10 @@
     (1.0 defaults to close, 1.1 to keep-alive), and is bounded by
     [max_requests_per_conn] and an [idle_timeout] carried on a
     {!Tpan_obs.Cancel} deadline token. A mid-request stall answers
-    [408] and closes; framing errors ([400]/[413]/[501 chunked])
-    close after answering; a vanished peer (EOF/EPIPE/ECONNRESET) is
+    [408] and closes; framing errors (a malformed head, a bad
+    [Content-Length], [413], [501 chunked]) close after answering,
+    while an application error — a [400] for a request whose body was
+    read whole included — answers and keeps the connection; a vanished peer (EOF/EPIPE/ECONNRESET) is
     a logged, counted ([serve.client_aborts]), non-fatal abort.
 
     {b Accepting.} One accept loop, on the domain that called {!run},
@@ -97,9 +99,9 @@ type config = {
           it are flagged in [/tracez] and flight-captured *)
   flight_path : string option;
       (** where slow-request dump frames are appended *)
-  access_log : string option;  (** NDJSON access-log path *)
   ledger_dir : string option;
-      (** when set, append one run-ledger row per request there *)
+      (** when set, append one run-ledger row per request there — the
+          request's only persisted record *)
   max_requests_per_conn : int;
       (** keep-alive budget per connection; [<= 0] means unlimited *)
   idle_timeout : float;
@@ -119,7 +121,8 @@ type config = {
 
 val default_config : config
 (** [127.0.0.1:8080], no Unix socket, no deadline, 8 MiB body cap;
-    no slow threshold, no access log, no ledger rows;
+    no slow threshold, no ledger rows (so nothing is written per
+    request; [tpan serve] turns them on by default);
     32 concurrent connections, 1000 requests per connection,
     30s idle timeout, no admission limit, no warm-up. *)
 

@@ -133,21 +133,19 @@ let configure ?budget_bytes ?persist_dir () =
 
 (* Surfacing per-kind hit/miss statistics to the serving layer's
    /statusz without exposing the cache instances themselves. Reads the
-   live caches when they exist; never forces their creation. *)
+   live caches when they exist; never forces their creation. The mutex
+   guards only the cell: every artifact call takes it, so it must not be
+   held while reading. *)
 let cache_stats () =
-  Mutex.lock caches_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock caches_mutex)
-    (fun () ->
-      match !caches_cell with
-      | None -> []
-      | Some c ->
-        [
-          (Cache.name c.symbolic, Cache.stats c.symbolic);
-          (Cache.name c.closed, Cache.stats c.closed);
-          (Cache.name c.eval_q, Cache.stats c.eval_q);
-          (Cache.name c.report, Cache.stats c.report);
-        ])
+  match Mutex.protect caches_mutex (fun () -> !caches_cell) with
+  | None -> []
+  | Some c ->
+    [
+      (Cache.name c.symbolic, Cache.stats c.symbolic);
+      (Cache.name c.closed, Cache.stats c.closed);
+      (Cache.name c.eval_q, Cache.stats c.eval_q);
+      (Cache.name c.report, Cache.stats c.report);
+    ]
 
 let reset_caches () =
   Mutex.lock caches_mutex;

@@ -71,6 +71,35 @@ let test_errors_not_cached () =
   Alcotest.(check int) "retry rebuilds and caches" 99 (Cache.find_or_build c "k" failing);
   Alcotest.(check int) "two attempts" 2 !attempts
 
+(* [stats] reads atomic cells, so it returns while [find_or_build] holds
+   the cache mutex for a build. The build waits on a latch that opens by
+   itself after 2 s, so a [stats] that waited fails instead of hanging. *)
+let test_stats_during_build () =
+  let c = Cache.create ~name:"test.stats_latch" () in
+  let building = Atomic.make false and latch = Atomic.make false in
+  let builder =
+    Domain.spawn (fun () ->
+        Cache.find_or_build c "k" (fun () ->
+            Atomic.set building true;
+            let deadline = Unix.gettimeofday () +. 2. in
+            while not (Atomic.get latch) do
+              if Unix.gettimeofday () > deadline then Atomic.set latch true
+              else Unix.sleepf 0.001
+            done;
+            7))
+  in
+  while not (Atomic.get building) do
+    Unix.sleepf 0.001
+  done;
+  let s = Cache.stats c in
+  let opened_first = Atomic.get latch in
+  Atomic.set latch true;
+  Alcotest.(check int) "the build completes" 7 (Domain.join builder);
+  Alcotest.(check bool) "stats returned before the latch opened" false opened_first;
+  Alcotest.(check int) "the building lookup's miss is counted" 1 s.Cache.misses;
+  Alcotest.(check int) "nothing stored yet" 0 s.Cache.entries;
+  Alcotest.(check int) "stored after the build" 1 (Cache.stats c).Cache.entries
+
 (* ----- persistence via the expression codec ----- *)
 
 let temp_dir () =
@@ -377,6 +406,7 @@ let suite =
       Alcotest.test_case "find_or_build builds exactly once" `Quick
         test_find_or_build_exactly_once;
       Alcotest.test_case "errors are never cached" `Quick test_errors_not_cached;
+      Alcotest.test_case "stats never waits out a build" `Quick test_stats_during_build;
       Alcotest.test_case "expression codec round-trip" `Quick test_codec_round_trip;
       Alcotest.test_case "persistence round-trip" `Quick test_persistence_round_trip;
       Alcotest.test_case "warm-start replays every artifact kind" `Quick

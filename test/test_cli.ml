@@ -576,6 +576,36 @@ let test_analyze_no_steady_state () =
   Alcotest.(check int) "--json exit code" 4 rc_json;
   Sys.remove term
 
+(* A recurrent cycle that takes no time has no rate per unit time: it is
+   refused as unsolvable (exit 4), human and --json alike, instead of
+   dividing by its zero mean cycle time; a sweep row of a builtin whose
+   delays are all 0 says the same. *)
+let zero_cycle_tpn =
+  "net zero\nplace a init 1\nplace b\ntrans x { in a; out b; fire 0 }\n\
+   trans y { in b; out a; fire 0 }\n"
+
+let zero_cycle_msg = "rate equations unsolvable: the recurrent cycle takes no time"
+
+let test_zero_time_cycle () =
+  let zero = write_temp_net zero_cycle_tpn in
+  List.iter
+    (fun flags ->
+      let args = Printf.sprintf "analyze %s -t x%s" zero flags in
+      let rc, out = run_capture args in
+      Alcotest.(check int) (args ^ ": exit code") 4 rc;
+      Alcotest.(check bool) (args ^ ": says the cycle takes no time") true
+        (contains out zero_cycle_msg))
+    [ ""; " --json" ];
+  Sys.remove zero;
+  let rc, out =
+    run_capture
+      ("sweep -m pipeline --csv --vary inject_delay=0..0:1 --vary hop1=0..0:1 \
+        --vary hop2=0..0:1 --vary hop3=0..0:1 --vary hop4=0..0:1")
+  in
+  Alcotest.(check int) "all-zero pipeline sweep: exit code" 0 rc;
+  Alcotest.(check bool) "the row's error says the cycle takes no time" true
+    (contains out ("0,0,0,0,0,,," ^ zero_cycle_msg))
+
 let suite =
   ( "cli",
     [
@@ -604,4 +634,5 @@ let suite =
       Alcotest.test_case "analyze with no steady state exits 4" `Quick
         test_analyze_no_steady_state;
       Alcotest.test_case "sweep refuses names the net lacks" `Quick test_sweep_refusals;
+      Alcotest.test_case "a zero-time cycle exits 4" `Quick test_zero_time_cycle;
     ] )

@@ -258,6 +258,31 @@ let test_sequential_reuse () =
               Alcotest.(check bool) (what ^ " then EOF") true (recv c = None)))
         [ [ "0x5" ]; [ "0_5" ]; [ "+5" ]; [ "0o7" ]; [ "0b11" ]; [ "5"; "0" ] ])
 
+(* An application error answers and keeps the connection: only framing
+   failures, raised before the handler, close it (the malformed-head and
+   smuggling cases above). *)
+let test_app_error_keeps_connection () =
+  with_server base_config (fun port ->
+      let c = connect port in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          send c (request "POST" "/analyze" {|{"model":"stopwait-sym"}|});
+          let r1 = recv_exn c "analyze of a symbolic builtin" in
+          Alcotest.(check int) "analyze stopwait-sym answers 400" 400 r1.status;
+          Alcotest.(check (option string))
+            "that 400 keeps the connection" (Some "keep-alive")
+            (header r1 "connection");
+          send c (request "POST" "/eval" {|{"model": "stopwait-sym",|});
+          let r2 = recv_exn c "malformed JSON body" in
+          Alcotest.(check int) "a malformed JSON body answers 400" 400 r2.status;
+          Alcotest.(check (option string))
+            "so does a body read whole but malformed" (Some "keep-alive")
+            (header r2 "connection");
+          send c (request "GET" "/healthz" "");
+          let r3 = recv_exn c "healthz after two 400s" in
+          Alcotest.(check int) "the same connection answers next" 200 r3.status))
+
 let test_http10_defaults_to_close () =
   with_server base_config (fun port ->
       let c = connect port in
@@ -456,8 +481,7 @@ let test_overload_503_with_retry_after () =
 (* Identical concurrent sweeps share one derivation of the closed form
    (the artifact cache builds each key exactly once) but answer for
    themselves: each response carries its own trace id, so the id a
-   client holds names its own /tracez entry, access-log line and ledger
-   row. *)
+   client holds names its own /tracez entry and ledger row. *)
 let test_identical_sweeps () =
   Tpan.Artifact.reset_caches ();
   let builds () = Tpan_obs.Metrics.counter_value "cache.closed_form.misses" in
@@ -528,4 +552,6 @@ let suite =
       Alcotest.test_case "identical sweeps fly once" `Quick test_identical_sweeps;
       Alcotest.test_case "overload answers 503 + Retry-After" `Quick
         test_overload_503_with_retry_after;
+      Alcotest.test_case "an application 400 keeps the connection" `Quick
+        test_app_error_keeps_connection;
     ] )

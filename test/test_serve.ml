@@ -522,14 +522,16 @@ let test_unbound_sweep_fails_once () =
   Alcotest.(check bool) "names the missing bindings" true
     (String.starts_with ~prefix:"point misses variable bindings: F(t1), F(t2)" (error_of r))
 
+(* The request's ledger row is its one persisted record: its [request]
+   object carries what the access log did (method, path, status, sizes,
+   net hash, deadline budget), beside the row's trace id, endpoint, exit
+   code and duration. *)
 let test_access_log_slow_dump_ledger () =
   let dir = tmp_dir () in
-  let access = Filename.concat dir "access.ndjson" in
   let flight = Filename.concat dir "flight.ndjson" in
   let config =
     {
       Serve.default_config with
-      Serve.access_log = Some access;
       slow_ms = Some 0.0 (* every request is "slow": deterministic capture *);
       flight_path = Some flight;
       ledger_dir = Some dir;
@@ -542,23 +544,6 @@ let test_access_log_slow_dump_ledger () =
   let net_hash =
     match field doc "net_hash" with J.Str h -> h | _ -> Alcotest.fail "net_hash"
   in
-  (* access log: one NDJSON record, correlating trace id, endpoint,
-     status, exit code, net hash *)
-  let ic = open_in access in
-  let line = input_line ic in
-  close_in ic;
-  let rec_doc =
-    match J.of_string line with Ok d -> d | Error e -> Alcotest.failf "access: %s" e
-  in
-  Alcotest.(check bool) "access trace_id" true (J.member "trace_id" rec_doc = Some (J.Str tid));
-  let fields = field rec_doc "fields" in
-  Alcotest.(check bool) "access method" true (field fields "method" = J.Str "POST");
-  Alcotest.(check bool) "access endpoint" true (field fields "endpoint" = J.Str "/eval");
-  Alcotest.(check bool) "access status" true (field fields "status" = J.Int 200);
-  Alcotest.(check bool) "access exit_code" true (field fields "exit_code" = J.Int 0);
-  Alcotest.(check bool) "access net_hash" true (field fields "net_hash" = J.Str net_hash);
-  Alcotest.(check bool) "access latency" true
-    (match J.to_float_opt (field fields "latency_s") with Some l -> l >= 0. | None -> false);
   (* the slow request left a flight-recorder frame scoped to its trace *)
   (match Tpan_obs.Dump.load flight with
   | Ok (_ :: _ as frames) ->
@@ -566,6 +551,8 @@ let test_access_log_slow_dump_ledger () =
       (List.exists (fun f -> f.Tpan_obs.Dump.trace_id = Some tid) frames)
   | Ok [] -> Alcotest.fail "no flight frames captured"
   | Error e -> Alcotest.failf "flight load: %s" e);
+  Alcotest.(check bool) "no access log beside the ledger" false
+    (Sys.file_exists (Filename.concat dir "access.ndjson"));
   (* one ledger row per request, grouped under serve:<endpoint> *)
   (match Tpan_obs.Ledger.load ~dir () with
   | Ok rows ->
@@ -577,6 +564,22 @@ let test_access_log_slow_dump_ledger () =
     Alcotest.(check bool) "ledger trace id" true
       (row.Tpan_obs.Ledger.trace_id = Some tid);
     Alcotest.(check bool) "ledger exit code" true (row.Tpan_obs.Ledger.exit_code = 0);
+    Alcotest.(check bool) "ledger duration" true (row.Tpan_obs.Ledger.duration >= 0.);
+    let request =
+      match row.Tpan_obs.Ledger.request with
+      | Some r -> r
+      | None -> Alcotest.fail "the serve row carries no request object"
+    in
+    Alcotest.(check bool) "request method" true (field request "method" = J.Str "POST");
+    Alcotest.(check bool) "request path" true (field request "path" = J.Str "/eval");
+    Alcotest.(check bool) "request status" true (field request "status" = J.Int 200);
+    Alcotest.(check bool) "request net_hash" true (field request "net_hash" = J.Str net_hash);
+    Alcotest.(check bool) "request body bytes" true
+      (field request "body_bytes" = J.Int (String.length eval_body));
+    Alcotest.(check bool) "request response bytes" true
+      (field request "resp_bytes" = J.Int (String.length r.Serve.body));
+    Alcotest.(check bool) "no deadline budget" true
+      (field request "deadline_budget_s" = J.Null);
     (* runs --stats groups these by endpoint *)
     let stats = Tpan_obs.Ledger.stats rows in
     Alcotest.(check bool) "stats has serve:/eval" true
@@ -587,11 +590,10 @@ let test_access_log_slow_dump_ledger () =
 (* 4 worker lanes hammer /eval while another lane scrapes /metrics and
    /statusz: scrapes stay parseable (no torn lines), labels stable, and
    after the run every exemplar on the /eval duration buckets resolves
-   to a trace id recorded in the access log. *)
+   to a trace id recorded in the run ledger. *)
 let test_concurrent_scrapes () =
   let dir = tmp_dir () in
-  let access = Filename.concat dir "access.ndjson" in
-  let config = { Serve.default_config with Serve.access_log = Some access } in
+  let config = { Serve.default_config with Serve.ledger_dir = Some dir } in
   Tpan_obs.Metrics.Histogram.reset
     (Tpan_obs.Metrics.histogram_with "serve.request_duration_s"
        [ ("endpoint", "/eval") ]);
@@ -635,9 +637,9 @@ let test_concurrent_scrapes () =
       | Error (e : Tpan_par.Pool.error) -> Alcotest.failf "lane failed: %s" e.message)
     results;
   Alcotest.(check bool) "all scrapes parsed cleanly" true !scrape_ok;
-  (* exemplars resolve to real requests in the access log *)
+  (* exemplars resolve to real requests in the run ledger *)
   let log =
-    let ic = open_in access in
+    let ic = open_in (Tpan_obs.Ledger.runs_file dir) in
     let n = in_channel_length ic in
     let s = really_input_string ic n in
     close_in ic;
@@ -673,10 +675,80 @@ let test_concurrent_scrapes () =
   List.iter
     (fun tid ->
       Alcotest.(check bool)
-        (Printf.sprintf "exemplar %s resolves to an access-log request" tid)
+        (Printf.sprintf "exemplar %s resolves to a ledger row" tid)
         true
         (contains log (Printf.sprintf "\"trace_id\":\"%s\"" tid)))
     exemplar_tids
+
+(* A recurrent cycle that takes no time has no throughput: 422 with exit
+   code 4 and one message, not a 500 from a division by zero. *)
+let test_zero_time_cycle_422 () =
+  let r =
+    handle "POST" "/analyze"
+      (J.to_string
+         (J.Obj [ ("net", J.Str Test_cli.zero_cycle_tpn); ("throughputs", J.List [ J.Str "x" ]) ]))
+  in
+  Alcotest.(check int) "422" 422 r.Serve.status;
+  let doc = parse_body r in
+  Alcotest.(check bool) "exit code 4" true (field doc "exit_code" = J.Int 4);
+  Alcotest.(check bool) "says the cycle takes no time" true
+    (match field doc "error" with
+     | J.Str e -> String.starts_with ~prefix:Test_cli.zero_cycle_msg e
+     | _ -> false)
+
+(* Five independent two-transition loops: a 153,552-state concrete TRG,
+   about 2 s to build cold. *)
+let five_loops =
+  let loop i =
+    Printf.sprintf
+      "place a%d init 1\nplace b%d\ntrans x%d { in a%d; out b%d; fire %d }\n\
+       trans y%d { in b%d; out a%d; fire %d }\n"
+      i i i i i (3 + (2 * i)) i i i (5 + (3 * i))
+  in
+  "net loops\n" ^ String.concat "" (List.init 5 loop)
+
+(* /statusz reads the caches' atomic counters, so it answers while a
+   cold build holds its cache's mutex instead of waiting the build out. *)
+let test_statusz_during_build () =
+  Tpan.Artifact.reset_caches ();
+  let interned () = Tpan_obs.Metrics.counter_value "core.semantics.states_interned" in
+  let before = interned () in
+  let t0 = Unix.gettimeofday () in
+  let body =
+    J.to_string
+      (J.Obj
+         [
+           ("net", J.Str five_loops);
+           ("throughputs", J.List [ J.Str "x0" ]);
+           ("max_states", J.Int 200_000);
+         ])
+  in
+  let analyze = Domain.spawn (fun () -> handle "POST" "/analyze" body) in
+  let rec under_way () =
+    if interned () - before >= 1000 then true
+    else if Unix.gettimeofday () -. t0 > 30. then false
+    else (
+      Unix.sleepf 0.001;
+      under_way ())
+  in
+  let started = under_way () in
+  let s0 = Unix.gettimeofday () in
+  let status = handle "GET" "/statusz" "" in
+  let statusz_s = Unix.gettimeofday () -. s0 in
+  let interned_then = interned () - before in
+  let analysis = Domain.join analyze in
+  let build_s = Unix.gettimeofday () -. t0 in
+  let total = interned () - before in
+  Alcotest.(check bool) "the build got under way" true started;
+  Alcotest.(check int) "analyze 200" 200 analysis.Serve.status;
+  Alcotest.(check int) "statusz 200" 200 status.Serve.status;
+  Alcotest.(check bool)
+    (Printf.sprintf "statusz answered mid-build (%d of %d states interned)" interned_then total)
+    true (interned_then < total);
+  Alcotest.(check bool)
+    (Printf.sprintf "statusz took %.3f s of a %.3f s build" statusz_s build_s)
+    true
+    (statusz_s < build_s /. 4.)
 
 let suite =
   ( "serve",
@@ -708,4 +780,7 @@ let suite =
       Alcotest.test_case "/eval and a sweep row share one error" `Quick
         test_vanishing_denominator_one_error;
       Alcotest.test_case "an unbound sweep fails once" `Quick test_unbound_sweep_fails_once;
+      Alcotest.test_case "a zero-time cycle answers 422" `Quick test_zero_time_cycle_422;
+      Alcotest.test_case "/statusz answers during a cold build" `Quick
+        test_statusz_during_build;
     ] )
