@@ -9,7 +9,8 @@ type 'a t = {
   name : string;
   budget : int;
   table : (string, 'a entry) Hashtbl.t;
-  mutex : Mutex.t;
+  building : (string, unit) Hashtbl.t;  (* keys claimed by a build in flight *)
+  mutex : Mutex.t;  (* guards [table], [building], [clock] and [bytes] *)
   mutable clock : int;
   mutable bytes : int;
   hits : Metrics.Counter.t;
@@ -132,6 +133,7 @@ let create ~name ?(budget_bytes = 64 * 1024 * 1024) ?persist ?encode ?decode () 
       name;
       budget = budget_bytes;
       table = Hashtbl.create 64;
+      building = Hashtbl.create 8;
       mutex = Mutex.create ();
       clock = 0;
       bytes = 0;
@@ -148,27 +150,67 @@ let create ~name ?(budget_bytes = 64 * 1024 * 1024) ?persist ?encode ?decode () 
    | _ -> ());
   c
 
-let unlocked_find (c : _ t) key =
+(* A hit bumps its counter and the entry's recency; a miss is counted by
+   the caller, which knows whether the lookup will wait instead. *)
+let unlocked_hit (c : _ t) key =
   match Hashtbl.find_opt c.table key with
   | Some e ->
     Metrics.Counter.incr c.hits;
     touch c e;
     Some e.value
-  | None ->
-    Metrics.Counter.incr c.misses;
-    None
+  | None -> None
 
-let find c key = locked c (fun () -> unlocked_find c key)
+let find c key =
+  locked c (fun () ->
+      let v = unlocked_hit c key in
+      if Option.is_none v then Metrics.Counter.incr c.misses;
+      v)
+
 let put c key value = locked c (fun () -> unlocked_put c key value)
 
+(* The latch: a miss claims its key and builds outside the mutex, so
+   distinct keys build in parallel and lookups of other keys never wait
+   for a build. A lookup of a claimed key polls it (the mutex released,
+   at most 1 ms asleep between looks) and checks its own request's token
+   each time, so it keeps its own deadline; it checks rather than
+   checkpoints, since waiting is no progress and must not beat for the
+   stall watchdog while the build it waits on is wedged. When the
+   builder's value lands the waiter counts a hit, as it would have after
+   waiting for the mutex. A raising build releases its claim and caches
+   nothing, and a waiter then claims the key and builds it itself: the
+   builder's exception (a deadline abort, say) is not the waiter's. *)
+type 'a claim = Hit of 'a | Building | Claimed
+
 let find_or_build c key build =
-  locked c (fun () ->
-      match unlocked_find c key with
-      | Some v -> v
-      | None ->
-        let v = build () in
-        unlocked_put c key v;
-        v)
+  let claim () =
+    match unlocked_hit c key with
+    | Some v -> Hit v
+    | None when Hashtbl.mem c.building key -> Building
+    | None ->
+      Metrics.Counter.incr c.misses;
+      Hashtbl.replace c.building key ();
+      Claimed
+  in
+  let rec go () =
+    match locked c claim with
+    | Hit v -> v
+    | Building ->
+      Unix.sleepf 0.001;
+      Tpan_obs.Cancel.check ();
+      go ()
+    | Claimed -> (
+      match build () with
+      | v ->
+        locked c (fun () ->
+            Hashtbl.remove c.building key;
+            unlocked_put c key v);
+        v
+      | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        locked c (fun () -> Hashtbl.remove c.building key);
+        Printexc.raise_with_backtrace exn bt)
+  in
+  go ()
 
 let mem c key = locked c (fun () -> Hashtbl.mem c.table key)
 
@@ -187,9 +229,9 @@ let clear c =
       c.bytes <- 0;
       publish_gauges c)
 
-(* Read without the cache mutex, which [find_or_build] holds for a
-   whole build: counters and gauges are atomic cells, and the gauges
-   carry entries and bytes as of the last insertion or removal. *)
+(* Read without the cache mutex: counters and gauges are atomic cells,
+   and the gauges carry entries and bytes as of the last insertion or
+   removal, so a scrape never contends with the lookups it reports. *)
 let stats (c : _ t) =
   {
     hits = Metrics.Counter.value c.hits;

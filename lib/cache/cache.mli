@@ -5,10 +5,13 @@
     throughput expressions, point evaluations, analysis reports, …),
     keyed by strings — in practice a {!Tpan.Canonical} content hash plus
     the artifact's own parameters. The cache is the reason identical
-    nets hit the symbolic build exactly once: {!find_or_build} computes
-    under the instance mutex, so concurrent requests for the same key
-    from several domains observe exactly one build and share the result
-    {e physically} (OCaml 5 domains share the major heap).
+    nets hit the symbolic build exactly once: {!find_or_build} claims a
+    missing key before it builds, so concurrent requests for the same
+    key from several domains observe exactly one build and share the
+    result {e physically} (OCaml 5 domains share the major heap). The
+    instance mutex guards only the table and the set of claimed keys;
+    builds run outside it, so distinct keys build in parallel and a
+    lookup never waits for another key's build.
 
     Sizing is by estimated bytes ({!Obj.reachable_words}); when an
     insertion pushes the total over the budget, least-recently-used
@@ -67,11 +70,20 @@ val put : 'a t -> string -> 'a -> unit
     (and append to the persistence file, when configured). *)
 
 val find_or_build : 'a t -> string -> (unit -> 'a) -> 'a
-(** [find_or_build c key build] returns the cached value or runs
-    [build] and stores its result — atomically: two domains racing on
-    the same key observe one [build] call and the same physical value.
-    A raising [build] caches nothing (the exception passes through and
-    the miss is still counted). *)
+(** [find_or_build c key build] returns the cached value, or claims
+    [key], runs [build] without the instance mutex and stores its
+    result. Each key is built once: a lookup of a key whose build is in
+    flight waits for that key alone, polling it about once a
+    millisecond, and then returns the builder's physical value, counted
+    as a hit (the builder counts the one miss). While it waits it calls
+    {!Tpan_obs.Cancel.check}, so a waiter past its own request's
+    deadline raises [Cancelled] and the build goes on, and the wait
+    adds no heartbeat (a wedged build still reads as a stall). A raising [build]
+    caches nothing: the exception passes through with its backtrace, the
+    miss is still counted, and a waiter then claims the key and builds
+    it itself rather than inheriting the exception. Builds may nest
+    (a build may look up other keys, of this cache or another); a build
+    that looked up its own key would wait for itself forever. *)
 
 val mem : 'a t -> string -> bool
 (** No counter or recency effect. *)
@@ -80,11 +92,13 @@ val remove : 'a t -> string -> unit
 
 val clear : 'a t -> unit
 (** Drop every entry (counters keep their totals; the persistence file
-    is left untouched — it is an append-only journal, not the truth). *)
+    is left untouched — it is an append-only journal, not the truth).
+    A build in flight is not waited for: it stores its value when it
+    ends, after the clear. *)
 
 val stats : 'a t -> stats
-(** Takes no lock, so it never waits out a {!find_or_build} in
-    progress: the counters are atomic, and [entries] and [bytes] are the
+(** Takes no lock, so a scrape never contends with the lookups it
+    reports: the counters are atomic, and [entries] and [bytes] are the
     gauges as of the last insertion or removal. *)
 
 val name : 'a t -> string

@@ -106,8 +106,7 @@ let active_key : token option ref Domain.DLS.key =
 let set t = Domain.DLS.get active_key := t
 let current () = !(Domain.DLS.get active_key)
 
-let checkpoint () =
-  incr (Domain.DLS.get beat_key);
+let check () =
   match !(Domain.DLS.get active_key) with
   | None -> ()
   | Some t -> (
@@ -121,3 +120,7 @@ let checkpoint () =
            keeps running until the winner's hook is done *)
         match Atomic.get t.state with Some r -> raise (Cancelled r) | None -> ())
       | _ -> ()))
+
+let checkpoint () =
+  incr (Domain.DLS.get beat_key);
+  check ()

@@ -71,6 +71,12 @@ val checkpoint : unit -> unit
     published (a domain that loses the claim keeps running until the
     claimer's hook has returned). *)
 
+val check : unit -> unit
+(** {!checkpoint} without the heartbeat, for a loop that waits on
+    another domain's work rather than making progress of its own: it
+    raises as {!checkpoint} does, but a wedged build that it waits on
+    still reads as a stall to the watchdog. *)
+
 (** {1 Heartbeats}
 
     Every checkpoint bumps a per-domain counter, registered on the

@@ -37,27 +37,40 @@ let completed : event list ref = ref []
 let completed_count = ref 0
 let completed_lock = Mutex.create ()
 
-(* Retention bound on the completed-event buffer: a long-running server
-   traces every request, so without a cap the buffer is a slow leak.
-   0 = unbounded (the CLI default — a run exports its whole trace at
-   exit). Trimming is amortized: the list is rebuilt only once the
-   count reaches twice the cap. *)
+(* Requests whose events are kept apart, by trace id, newest first: a
+   push appends to its own request's list and a drain takes that list,
+   so concurrent requests neither trim nor scan each other's spans. *)
+let kept : (string, event list ref) Hashtbl.t = Hashtbl.create 16
+
+let keep_events ~trace_id =
+  Mutex.protect completed_lock (fun () -> Hashtbl.replace kept trace_id (ref []))
+
+(* Retention bound on the shared completed-event list: a long-running
+   server traces every request, so without a cap the list is a slow
+   leak. It never trims a kept request's events, only the shared list's
+   (untagged events, and those of requests not kept or already
+   drained). 0 = unbounded (the CLI default — a run exports its whole
+   trace at exit). Trimming is amortized: the list is rebuilt only once
+   the count reaches twice the cap. *)
 let retention = ref 0
 let set_retention n = Mutex.protect completed_lock (fun () -> retention := max 0 n)
 
-let push_completed e =
+let push_completed trace_id e =
   Mutex.protect completed_lock (fun () ->
-      completed := e :: !completed;
-      incr completed_count;
-      let cap = !retention in
-      if cap > 0 && !completed_count >= 2 * cap then begin
-        let rec take n = function
-          | x :: tl when n > 0 -> x :: take (n - 1) tl
-          | _ -> []
-        in
-        completed := take cap !completed;
-        completed_count := cap
-      end)
+      match Option.bind trace_id (Hashtbl.find_opt kept) with
+      | Some mine -> mine := e :: !mine
+      | None ->
+        completed := e :: !completed;
+        incr completed_count;
+        let cap = !retention in
+        if cap > 0 && !completed_count >= 2 * cap then begin
+          let rec take n = function
+            | x :: tl when n > 0 -> x :: take (n - 1) tl
+            | _ -> []
+          in
+          completed := take cap !completed;
+          completed_count := cap
+        end)
 let dummy = { sp_name = ""; sp_start = 0.; sp_depth = 0; sp_attrs = []; sp_real = false }
 
 let set_lane k = Domain.DLS.get cur_lane := k
@@ -107,8 +120,9 @@ let with_span name f =
         pop ();
         decr depth;
         let dur = Mclock.now () -. t0 -. sp.sp_start in
+        let trace_id = Context.trace_id () in
         let attrs =
-          match Context.trace_id () with
+          match trace_id with
           | Some id -> ("trace_id", id) :: List.rev sp.sp_attrs
           | None -> List.rev sp.sp_attrs
         in
@@ -116,7 +130,7 @@ let with_span name f =
           { name = sp.sp_name; start = sp.sp_start; dur; depth = sp.sp_depth;
             lane = current_lane (); attrs }
         in
-        push_completed e)
+        push_completed trace_id e)
       (fun () -> f sp)
   end
 
@@ -128,24 +142,18 @@ let events () = List.rev !completed
 let clear () =
   Mutex.protect completed_lock (fun () ->
       completed := [];
-      completed_count := 0)
+      completed_count := 0;
+      Hashtbl.reset kept)
 
-(* Remove and return the completed events belonging to one request —
-   the per-request span tree the serving layer hands to [Tracez].
-   Events of other (concurrent) requests stay buffered. *)
+(* Remove and return a kept request's events — the per-request span
+   tree the serving layer hands to [Tracez]. *)
 let take_events ~trace_id =
   Mutex.protect completed_lock (fun () ->
-      let mine, rest =
-        List.partition
-          (fun e ->
-            match List.assoc_opt "trace_id" e.attrs with
-            | Some id -> id = trace_id
-            | None -> false)
-          !completed
-      in
-      completed := rest;
-      completed_count := List.length rest;
-      List.rev mine)
+      match Hashtbl.find_opt kept trace_id with
+      | Some mine ->
+        Hashtbl.remove kept trace_id;
+        List.rev !mine
+      | None -> [])
 
 let total_duration name =
   List.fold_left (fun acc e -> if e.name = name then acc +. e.dur else acc) 0. !completed

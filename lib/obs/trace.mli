@@ -13,7 +13,8 @@
 
     {b Domains.} The completed-event buffer is shared and
     mutex-protected, so spans closed on a worker domain land in the same
-    merged trace as the caller's. Each event carries a {e lane} — 0 for
+    merged trace as the caller's (or in the same kept request's list,
+    see {!keep_events}: a worker runs under its caller's context). Each event carries a {e lane} — 0 for
     the main domain, a small stable index for pool workers (set by
     [Tpan_par.Pool] via {!set_lane}) — exported as the Chrome [tid] so a
     parallel region renders as parallel tracks in the viewer. *)
@@ -73,24 +74,36 @@ type event = {
 }
 
 val events : unit -> event list
-(** All completed spans, in completion order (children before their
-    parent, since a parent closes last). *)
+(** All completed spans of the shared list, in completion order
+    (children before their parent, since a parent closes last). The
+    events of a request kept with {!keep_events} are not in it until
+    {!take_events} drains them. *)
 
 val clear : unit -> unit
-(** Drop buffered events. Does not change {!enabled}. *)
+(** Drop buffered events, kept requests' included. Does not change
+    {!enabled}. *)
 
 val set_retention : int -> unit
-(** Bound the completed-event buffer to roughly [n] events (oldest
+(** Bound the shared completed-event list to roughly [n] events (oldest
     dropped first; trimming is amortized, so up to [2n] may be resident
     momentarily). [0] — the default — keeps everything, which is right
     for a CLI run that exports its trace at exit; a long-running server
-    sets a cap so per-request tracing is not a slow leak. *)
+    sets a cap so per-request tracing is not a slow leak. A request
+    kept with {!keep_events} is never trimmed. *)
+
+val keep_events : trace_id:string -> unit
+(** Buffer the events tagged [trace_id] apart from the shared list, in
+    a list of the request's own, until {!take_events} drains it: no
+    retention trims them, however many there are, and no other
+    request's push or drain touches them. Events tagged [trace_id] after
+    the drain go to the shared list again. *)
 
 val take_events : trace_id:string -> event list
-(** Remove and return the buffered events whose [trace_id] attribute
-    matches (completion order — children first). Events of other
-    requests stay buffered. The serving layer drains each request's
-    span tree into its [/tracez] ring buffers this way. *)
+(** Remove and return the events of a request kept with {!keep_events}
+    (completion order — children first), ending its keeping; [[]] for a
+    trace id that is not kept, whose events stay in the shared list. The
+    serving layer keeps and then drains each request's span tree into
+    its [/tracez] ring buffers this way. *)
 
 val total_duration : string -> float
 (** Sum of [dur] over completed events with that name; [0.] if none. *)

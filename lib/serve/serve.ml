@@ -654,6 +654,8 @@ let handle config ~meth ~target ~body =
   let ctx = Obs.Context.make ?deadline:config.deadline () in
   let tid = ctx.Obs.Context.trace_id in
   let req = { if_trace_id = tid; if_name = name; if_start = t0 } in
+  (* the request's spans stay its own until it drains them below *)
+  Obs.Trace.keep_events ~trace_id:tid;
   Obs.Metrics.Counter.incr (ep_requests endpoint);
   inflight_add req;
   let failed ?headers status ~exit_code msg =

@@ -122,8 +122,17 @@ let raw_add_scaled acc m c (p : Q.t MMap.t) =
         acc)
     p acc
 
+(* A product of large forms can take longer than a request's deadline
+   allows, so every 64th outer term checkpoints the ambient token. *)
 let mul (a : t) (b : t) : t =
-  intern (MMap.fold (fun m c acc -> raw_add_scaled acc m c b.terms) a.terms MMap.empty)
+  let n = ref 0 in
+  intern
+    (MMap.fold
+       (fun m c acc ->
+         incr n;
+         if !n land 63 = 0 then Tpan_obs.Cancel.checkpoint ();
+         raw_add_scaled acc m c b.terms)
+       a.terms MMap.empty)
 
 let rec pow p n =
   if n < 0 then invalid_arg "Poly.pow: negative exponent"
@@ -322,6 +331,7 @@ and pseudo_rem vid pc qc : t =
   let p = ref (Array.copy pc) in
   let continue_ = ref true in
   while !continue_ do
+    Tpan_obs.Cancel.checkpoint ();
     let dp = univar_degree !p in
     if dp < dq then continue_ := false
     else begin

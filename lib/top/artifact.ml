@@ -110,7 +110,13 @@ let caches () =
       match !caches_cell with
       | Some c -> c
       | None ->
-        let c = make_caches () in
+        (* made on first use, inside the first request's context; but
+           replaying the persisted journals is not that request's work,
+           so its deadline must not cut the replay short (a cut replay
+           leaves no caches, and every later request replays again) *)
+        let token = Tpan_obs.Cancel.current () in
+        Tpan_obs.Cancel.set None;
+        let c = Fun.protect ~finally:(fun () -> Tpan_obs.Cancel.set token) make_caches in
         caches_cell := Some c;
         c)
 
@@ -162,10 +168,13 @@ let reset_caches () =
 
 (* ----- cached pure functions -----
 
-   [find_or_build] computes under the cache mutex, so identical keys
-   build exactly once even under concurrent requests; a failing build
-   caches nothing — errors must not outlive the request that hit them
-   (a deadline abort, say). [Build_error] carries the typed error
+   [find_or_build] claims a key before building it, so identical keys
+   build exactly once even under concurrent requests, while distinct
+   keys build in parallel; the nested builds below (eval, then
+   closed_form, then symbolic) hold no lock while the inner one runs. A
+   request waiting on another's build keeps its own deadline. A failing
+   build caches nothing — errors must not outlive the request that hit
+   them (a deadline abort, say). [Build_error] carries the typed error
    through the cache layer. *)
 
 exception Build_error of Error.t

@@ -71,26 +71,34 @@ let test_errors_not_cached () =
   Alcotest.(check int) "retry rebuilds and caches" 99 (Cache.find_or_build c "k" failing);
   Alcotest.(check int) "two attempts" 2 !attempts
 
-(* [stats] reads atomic cells, so it returns while [find_or_build] holds
-   the cache mutex for a build. The build waits on a latch that opens by
-   itself after 2 s, so a [stats] that waited fails instead of hanging. *)
+(* Latches for the tests of concurrent builds: [await cond] polls until
+   [cond ()] holds or 2 s pass and says which, and a build blocked in
+   [hold gate] opens the gate itself after 2 s. So a cache that built
+   under its mutex fails these tests instead of hanging them. *)
+let await cond =
+  let deadline = Unix.gettimeofday () +. 2. in
+  let rec go () =
+    cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.001; go ()))
+  in
+  go ()
+
+let hold gate = if not (await (fun () -> Atomic.get gate)) then Atomic.set gate true
+
+(* A build on its own domain that flags [building] and then holds [gate]. *)
+let slow_build c key ~building ~gate v =
+  Domain.spawn (fun () ->
+      Cache.find_or_build c key (fun () ->
+          Atomic.set building true;
+          hold gate;
+          v))
+
+(* [stats] reads atomic cells, so it returns while [find_or_build] runs
+   a build. *)
 let test_stats_during_build () =
   let c = Cache.create ~name:"test.stats_latch" () in
   let building = Atomic.make false and latch = Atomic.make false in
-  let builder =
-    Domain.spawn (fun () ->
-        Cache.find_or_build c "k" (fun () ->
-            Atomic.set building true;
-            let deadline = Unix.gettimeofday () +. 2. in
-            while not (Atomic.get latch) do
-              if Unix.gettimeofday () > deadline then Atomic.set latch true
-              else Unix.sleepf 0.001
-            done;
-            7))
-  in
-  while not (Atomic.get building) do
-    Unix.sleepf 0.001
-  done;
+  let builder = slow_build c "k" ~building ~gate:latch 7 in
+  ignore (await (fun () -> Atomic.get building));
   let s = Cache.stats c in
   let opened_first = Atomic.get latch in
   Atomic.set latch true;
@@ -398,6 +406,163 @@ let test_artifact_eval_errors () =
   | Error e -> Alcotest.failf "unexpected error: %s" (Tpan.Error.to_string e)
   | Ok _ -> Alcotest.fail "unknown transition must not derive"
 
+(* ----- the build latch: builds run outside the cache mutex ----- *)
+
+let test_race_one_slow_key () =
+  let c = Cache.create ~name:"test.latch_race" () in
+  let builds = Atomic.make 0 and gate = Atomic.make false in
+  let racer () =
+    Domain.spawn (fun () ->
+        Cache.find_or_build c "k" (fun () ->
+            Atomic.incr builds;
+            hold gate;
+            ref 7))
+  in
+  let racers = List.init 4 (fun _ -> racer ()) in
+  ignore (await (fun () -> Atomic.get builds > 0));
+  (* give the other three time to find the key claimed *)
+  Unix.sleepf 0.05;
+  Atomic.set gate true;
+  let values = List.map Domain.join racers in
+  let s = Cache.stats c in
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  Alcotest.(check bool) "one physical value" true
+    (List.for_all (( == ) (List.hd values)) values);
+  Alcotest.(check int) "one miss" 1 s.Cache.misses;
+  Alcotest.(check int) "three hits" 3 s.Cache.hits
+
+let test_distinct_keys_build_together () =
+  let c = Cache.create ~name:"test.latch_parallel" () in
+  let arrived = Atomic.make 0 in
+  let build key =
+    Domain.spawn (fun () ->
+        Cache.find_or_build c key (fun () ->
+            Atomic.incr arrived;
+            await (fun () -> Atomic.get arrived = 2)))
+  in
+  let a = build "a" and b = build "b" in
+  let saw_a = Domain.join a and saw_b = Domain.join b in
+  Alcotest.(check bool) "each build saw the other under way" true (saw_a && saw_b);
+  Alcotest.(check int) "two misses" 2 (Cache.stats c).Cache.misses
+
+let test_hit_during_build () =
+  let c = Cache.create ~name:"test.latch_hit" () in
+  Cache.put c "b" 2;
+  let building = Atomic.make false and gate = Atomic.make false in
+  let builder = slow_build c "a" ~building ~gate 1 in
+  ignore (await (fun () -> Atomic.get building));
+  let b = Cache.find_or_build c "b" (fun () -> Alcotest.fail "b is cached") in
+  let opened_first = Atomic.get gate in
+  Atomic.set gate true;
+  Alcotest.(check int) "a builds" 1 (Domain.join builder);
+  Alcotest.(check int) "the hit on b" 2 b;
+  Alcotest.(check bool) "b answered while a was building" false opened_first
+
+let test_waiter_builds_after_failure () =
+  let c = Cache.create ~name:"test.latch_raise" () in
+  let building = Atomic.make false and gate = Atomic.make false in
+  let builder =
+    Domain.spawn (fun () ->
+        match
+          Cache.find_or_build c "k" (fun () ->
+              Atomic.set building true;
+              hold gate;
+              failwith "the builder's own failure")
+        with
+        | (_ : int) -> false
+        | exception Failure _ -> true)
+  in
+  ignore (await (fun () -> Atomic.get building));
+  let waiter = Domain.spawn (fun () -> Cache.find_or_build c "k" (fun () -> 42)) in
+  Unix.sleepf 0.05;
+  Atomic.set gate true;
+  Alcotest.(check bool) "the builder raised" true (Domain.join builder);
+  Alcotest.(check int) "the waiter built its own value" 42 (Domain.join waiter);
+  Alcotest.(check bool) "and cached it" true (Cache.find c "k" = Some 42)
+
+let test_waiter_deadline () =
+  let c = Cache.create ~name:"test.latch_deadline" () in
+  let building = Atomic.make false and gate = Atomic.make false in
+  let builder = slow_build c "k" ~building ~gate 7 in
+  ignore (await (fun () -> Atomic.get building));
+  let ctx = Tpan_obs.Context.make ~deadline:0.05 () in
+  let waited =
+    match
+      Tpan_obs.Context.with_ctx ctx (fun () ->
+          Cache.find_or_build c "k" (fun () -> Alcotest.fail "the key is claimed"))
+    with
+    | (_ : int) -> `Answered
+    | exception Tpan_obs.Cancel.Cancelled (Tpan_obs.Cancel.Deadline _) -> `Cancelled
+  in
+  let opened_first = Atomic.get gate in
+  Atomic.set gate true;
+  Alcotest.(check bool) "the waiter raised Cancelled" true (waited = `Cancelled);
+  Alcotest.(check bool) "before the build ended" false opened_first;
+  Alcotest.(check int) "the builder went on" 7 (Domain.join builder);
+  Alcotest.(check bool) "and cached its value" true (Cache.find c "k" = Some 7)
+
+(* A waiter checks its token without a heartbeat: the stall watchdog
+   reads the heartbeat total, so a wait on a wedged build must not read
+   as progress. The builder's build makes no checkpoint either, so the
+   total stays put while the key is claimed. *)
+let test_waiter_does_not_beat () =
+  let c = Cache.create ~name:"test.latch_beat" () in
+  let building = Atomic.make false and gate = Atomic.make false in
+  let builder = slow_build c "k" ~building ~gate 7 in
+  ignore (await (fun () -> Atomic.get building));
+  let before = Tpan_obs.Cancel.heartbeat_total () in
+  let waiter =
+    Domain.spawn (fun () ->
+        Cache.find_or_build c "k" (fun () -> Alcotest.fail "the key is claimed"))
+  in
+  Unix.sleepf 0.05;
+  let during = Tpan_obs.Cancel.heartbeat_total () in
+  let opened_first = Atomic.get gate in
+  Atomic.set gate true;
+  Alcotest.(check int) "the builder's value" 7 (Domain.join builder);
+  Alcotest.(check int) "the waiter's value" 7 (Domain.join waiter);
+  Alcotest.(check bool) "measured while the key was claimed" false opened_first;
+  Alcotest.(check int) "no heartbeat while waiting" before during
+
+(* The artifact caches are made on first use, inside the first request's
+   context, but replaying their journals is not that request's work: a
+   deadline already past when the replay starts still loads every
+   persisted closed form, and the lookup is a hit. *)
+let test_replay_outside_deadline () =
+  let dir = temp_dir () in
+  let sym = canonical "stopwait-sym" in
+  let transitions =
+    match Tpan.Models.find "stopwait-sym" with
+    | Some m -> m.Tpan.Models.deliveries
+    | None -> Alcotest.fail "no builtin stopwait-sym"
+  in
+  let closed_form () =
+    List.for_all
+      (fun transition -> Result.is_ok (Tpan.Artifact.closed_form sym ~transition))
+      transitions
+  in
+  let entries () = (List.assoc "closed_form" (Tpan.Artifact.cache_stats ())).Cache.entries in
+  Tpan.Artifact.configure ~persist_dir:dir ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tpan.Artifact.configure ();
+      Tpan.Artifact.reset_caches ())
+    (fun () ->
+      Alcotest.(check bool) "closed forms built" true (closed_form ());
+      let persisted = entries () in
+      Tpan.Artifact.configure ~persist_dir:dir ();
+      let misses () = Tpan_obs.Metrics.counter_value "cache.closed_form.misses" in
+      let before = misses () in
+      let ctx = Tpan_obs.Context.make ~deadline:1e-9 () in
+      let replayed =
+        match Tpan_obs.Context.with_ctx ctx closed_form with
+        | ok -> ok
+        | exception Tpan_obs.Cancel.Cancelled _ -> false
+      in
+      Alcotest.(check bool) "answered under the expired deadline" true replayed;
+      Alcotest.(check int) "every persisted entry loaded" persisted (entries ());
+      Alcotest.(check int) "no rebuild" before (misses ()))
+
 let suite =
   ( "cache",
     [
@@ -417,4 +582,16 @@ let suite =
         test_artifact_parallel_sharing;
       Alcotest.test_case "cached = fresh closed form" `Quick test_artifact_cached_vs_fresh;
       Alcotest.test_case "eval error mapping" `Quick test_artifact_eval_errors;
+      Alcotest.test_case "four racers on one slow key share one build" `Quick
+        test_race_one_slow_key;
+      Alcotest.test_case "distinct keys build at the same time" `Quick
+        test_distinct_keys_build_together;
+      Alcotest.test_case "a hit returns while another key builds" `Quick
+        test_hit_during_build;
+      Alcotest.test_case "a waiter builds after the builder raises" `Quick
+        test_waiter_builds_after_failure;
+      Alcotest.test_case "a waiter keeps its own deadline" `Quick test_waiter_deadline;
+      Alcotest.test_case "a waiter adds no heartbeat" `Quick test_waiter_does_not_beat;
+      Alcotest.test_case "a journal replays past the first request's deadline" `Quick
+        test_replay_outside_deadline;
     ] )

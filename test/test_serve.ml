@@ -707,23 +707,44 @@ let five_loops =
   in
   "net loops\n" ^ String.concat "" (List.init 5 loop)
 
-(* /statusz reads the caches' atomic counters, so it answers while a
-   cold build holds its cache's mutex instead of waiting the build out. *)
-let test_statusz_during_build () =
+let interned () = Tpan_obs.Metrics.counter_value "core.semantics.states_interned"
+
+let five_loops_body =
+  J.to_string
+    (J.Obj
+       [
+         ("net", J.Str five_loops);
+         ("throughputs", J.List [ J.Str "x0" ]);
+         ("max_states", J.Int 200_000);
+       ])
+
+(* Runs [f] on this domain while a cold /analyze of [five_loops] builds
+   on another, once the build has interned 1000 states; [prime] runs
+   first, on empty caches. Returns [f]'s result and how long it took,
+   whether the build was still running when [f] returned, the build's
+   response and wall time, and the states interned by then and in all. *)
+type 'a during = {
+  result : 'a;
+  f_s : float;
+  mid_build : bool;
+  analysis : Serve.response;
+  build_s : float;
+  interned_then : int;
+  interned_total : int;
+}
+
+let during_cold_build ?(prime = ignore) f =
   Tpan.Artifact.reset_caches ();
-  let interned () = Tpan_obs.Metrics.counter_value "core.semantics.states_interned" in
+  prime ();
   let before = interned () in
+  let finished = Atomic.make false in
   let t0 = Unix.gettimeofday () in
-  let body =
-    J.to_string
-      (J.Obj
-         [
-           ("net", J.Str five_loops);
-           ("throughputs", J.List [ J.Str "x0" ]);
-           ("max_states", J.Int 200_000);
-         ])
+  let analyze =
+    Domain.spawn (fun () ->
+        let r = handle "POST" "/analyze" five_loops_body in
+        Atomic.set finished true;
+        r)
   in
-  let analyze = Domain.spawn (fun () -> handle "POST" "/analyze" body) in
   let rec under_way () =
     if interned () - before >= 1000 then true
     else if Unix.gettimeofday () -. t0 > 30. then false
@@ -731,24 +752,117 @@ let test_statusz_during_build () =
       Unix.sleepf 0.001;
       under_way ())
   in
-  let started = under_way () in
+  Alcotest.(check bool) "the build got under way" true (under_way ());
   let s0 = Unix.gettimeofday () in
-  let status = handle "GET" "/statusz" "" in
-  let statusz_s = Unix.gettimeofday () -. s0 in
+  let result = f () in
+  let f_s = Unix.gettimeofday () -. s0 in
+  let mid_build = not (Atomic.get finished) in
   let interned_then = interned () - before in
   let analysis = Domain.join analyze in
   let build_s = Unix.gettimeofday () -. t0 in
-  let total = interned () - before in
-  Alcotest.(check bool) "the build got under way" true started;
   Alcotest.(check int) "analyze 200" 200 analysis.Serve.status;
-  Alcotest.(check int) "statusz 200" 200 status.Serve.status;
+  { result; f_s; mid_build; analysis; build_s; interned_then;
+    interned_total = interned () - before }
+
+(* /statusz reads the caches' atomic counters, so it answers while a
+   cold build runs instead of waiting the build out. *)
+let test_statusz_during_build () =
+  let d = during_cold_build (fun () -> handle "GET" "/statusz" "") in
+  Alcotest.(check int) "statusz 200" 200 d.result.Serve.status;
   Alcotest.(check bool)
-    (Printf.sprintf "statusz answered mid-build (%d of %d states interned)" interned_then total)
-    true (interned_then < total);
-  Alcotest.(check bool)
-    (Printf.sprintf "statusz took %.3f s of a %.3f s build" statusz_s build_s)
+    (Printf.sprintf "statusz answered mid-build (%d of %d states interned)" d.interned_then
+       d.interned_total)
     true
-    (statusz_s < build_s /. 4.)
+    (d.interned_then < d.interned_total);
+  Alcotest.(check bool)
+    (Printf.sprintf "statusz took %.3f s of a %.3f s build" d.f_s d.build_s)
+    true
+    (d.f_s < d.build_s /. 4.)
+
+(* A cold build holds no lock while it runs, so a warm /analyze of a
+   primed builtin answers from the same report cache at once. *)
+let test_warm_analyze_during_build () =
+  let warm () = handle "POST" "/analyze" {|{"model":"stopwait","throughputs":["t7"]}|} in
+  let prime () = Alcotest.(check int) "primed" 200 (warm ()).Serve.status in
+  let d = during_cold_build ~prime warm in
+  Alcotest.(check int) "warm analyze 200" 200 d.result.Serve.status;
+  Alcotest.(check bool) "answered mid-build" true d.mid_build;
+  Alcotest.(check bool)
+    (Printf.sprintf "the warm analyze took %.3f s of a %.3f s build" d.f_s d.build_s)
+    true
+    (d.f_s < d.build_s /. 4.)
+
+(* A request for a net that another request is building waits on that
+   key alone and keeps its own deadline: 504 / exit 6 before the build
+   ends, and the net is built once. *)
+let test_waiter_deadline_504 () =
+  let config = { Serve.default_config with Serve.deadline = Some 0.1 } in
+  let d = during_cold_build (fun () -> handle ~config "POST" "/analyze" five_loops_body) in
+  Alcotest.(check int) "504" 504 d.result.Serve.status;
+  Alcotest.(check bool) "exit code 6" true (field (parse_body d.result) "exit_code" = J.Int 6);
+  Alcotest.(check bool) "answered before the build ended" true d.mid_build;
+  let states =
+    match field (parse_body d.analysis) "states" with
+    | J.Int n -> n
+    | _ -> Alcotest.fail "states must be an integer"
+  in
+  Alcotest.(check int) "one build's worth of states interned" states d.interned_total
+
+(* A served request's spans are its own until it drains them: under the
+   server's retention of 4096 spans, a 10,000-point /sweep still counts
+   every point in its ledger row, alone and beside a second one. *)
+let sweep_point_counts ~concurrent =
+  let dir = tmp_dir () in
+  let config = { Serve.default_config with Serve.ledger_dir = Some dir } in
+  let body =
+    {|{"model":"stopwait-sym","transitions":["t7"],"axes":["E(t3)=250..1000:10000"],
+       "bindings":{"F(t1)":"1","F(t2)":"1","F(t3)":"1","F(t4)":"106.7","F(t5)":"106.7",
+       "F(t6)":"13.5","F(t7)":"13.5","F(t8)":"106.7","F(t9)":"106.7","f(t4)":"0.05",
+       "f(t5)":"0.95","f(t8)":"0.95","f(t9)":"0.05"}}|}
+  in
+  let sweep () =
+    let r = handle ~config "POST" "/sweep" body in
+    Alcotest.(check int) "sweep 200" 200 r.Serve.status;
+    match field (parse_body r) "trace_id" with
+    | J.Str tid -> tid
+    | _ -> Alcotest.fail "trace_id must be a string"
+  in
+  let was_enabled = Tpan_obs.Trace.enabled () in
+  Tpan_obs.Trace.set_enabled true;
+  Tpan_obs.Trace.set_retention 4096;
+  let tids =
+    Fun.protect
+      ~finally:(fun () ->
+        Tpan_obs.Trace.set_enabled was_enabled;
+        Tpan_obs.Trace.set_retention 0)
+      (fun () -> List.map Domain.join (List.init concurrent (fun _ -> Domain.spawn sweep)))
+  in
+  let rows =
+    match Tpan_obs.Ledger.load ~dir () with
+    | Ok rows -> rows
+    | Error e -> Alcotest.failf "ledger load: %s" e
+  in
+  List.map
+    (fun tid ->
+      match List.find_opt (fun r -> r.Tpan_obs.Ledger.trace_id = Some tid) rows with
+      | None -> Alcotest.failf "no ledger row for %s" tid
+      | Some row -> (
+        match
+          List.find_opt
+            (fun (st : Tpan_obs.Ledger.stage) -> st.stage = "sweep.point")
+            row.Tpan_obs.Ledger.stages
+        with
+        | Some st -> st.count
+        | None -> 0))
+    tids
+
+let test_large_sweep_keeps_its_spans () =
+  Alcotest.(check (list int)) "every point's span" [ 10_000 ]
+    (sweep_point_counts ~concurrent:1)
+
+let test_concurrent_sweeps_keep_their_spans () =
+  Alcotest.(check (list int)) "every point's span, per request" [ 10_000; 10_000 ]
+    (sweep_point_counts ~concurrent:2)
 
 let suite =
   ( "serve",
@@ -783,4 +897,12 @@ let suite =
       Alcotest.test_case "a zero-time cycle answers 422" `Quick test_zero_time_cycle_422;
       Alcotest.test_case "/statusz answers during a cold build" `Quick
         test_statusz_during_build;
+      Alcotest.test_case "a warm /analyze answers during a cold build" `Quick
+        test_warm_analyze_during_build;
+      Alcotest.test_case "a waiter on a cold build keeps its deadline" `Quick
+        test_waiter_deadline_504;
+      Alcotest.test_case "a 10,000-point sweep keeps all its spans" `Quick
+        test_large_sweep_keeps_its_spans;
+      Alcotest.test_case "two large sweeps each keep their spans" `Quick
+        test_concurrent_sweeps_keep_their_spans;
     ] )

@@ -249,6 +249,26 @@ let test_throughput_is_canonical () =
   Alcotest.(check int) "denominator has 15 terms" 15 (Poly.size (Rf.den thr));
   Alcotest.check poly "fully reduced" Poly.one (Poly.gcd (Rf.num thr) (Rf.den thr))
 
+(* Under an expired deadline, ℚ[x] arithmetic stops at its next
+   checkpoint: once per pseudo-remainder step in [gcd], every 64th outer
+   term in [mul]. With no context both answer as before. *)
+let test_poly_deadline () =
+  let a = Poly.mul (Poly.pow (Poly.add x y) 2) (Poly.sub x y) in
+  let b = Poly.mul (Poly.add x y) (Poly.pow x 2) in
+  let z = Poly.var (Var.param "z") in
+  let big = Poly.pow (Poly.add (Poly.add x y) (Poly.add z Poly.one)) 6 in
+  Alcotest.(check int) "an 84-term factor" 84 (Poly.size big);
+  let cancelled f =
+    let ctx = Tpan_obs.Context.make ~deadline:1e-9 () in
+    match Tpan_obs.Context.with_ctx ctx f with
+    | (_ : Poly.t) -> false
+    | exception Tpan_obs.Cancel.Cancelled (Tpan_obs.Cancel.Deadline _) -> true
+  in
+  Alcotest.(check bool) "gcd raises Cancelled" true (cancelled (fun () -> Poly.gcd a b));
+  Alcotest.(check bool) "mul raises Cancelled" true (cancelled (fun () -> Poly.mul big x));
+  Alcotest.check poly "gcd without a context" (Poly.add x y) (Poly.gcd a b);
+  Alcotest.(check int) "mul without a context" 84 (Poly.size (Poly.mul big x))
+
 let suite =
   ( "symbolic",
     [
@@ -274,4 +294,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_gcd_of_products;
       Alcotest.test_case "ratfun reduce" `Quick test_ratfun_reduce;
       Alcotest.test_case "throughput expression is canonical" `Quick test_throughput_is_canonical;
+      Alcotest.test_case "poly gcd and mul honour a deadline" `Quick test_poly_deadline;
     ] )
