@@ -969,13 +969,18 @@ let oracle () =
    checkpoint sits in the per-interned-state loop) repeated under an
    ambient deadline token that never fires — every checkpoint then pays
    the full poll (DLS load, heartbeat bump, deadline compare) — vs the
-   bare run, where it short-circuits on the [None] match. The armed
-   wall time is recorded as the CHECKPOINT figure so bench-diff gates
-   it like any other; the ratio is asserted here, so a checkpoint that
-   grows a syscall or an allocation fails the harness outright. *)
+   bare run, where it short-circuits on the [None] match. The builds run
+   in five interleaved bare/armed rounds, as EXT-PAR's do, and each
+   side's fastest round, scaled back to the whole batch, is compared:
+   with one batch per side, a burst of host noise on one side alone read
+   1.338 on a tree that otherwise reads 0.99–1.22. The ratio is asserted
+   here, so a checkpoint that grows a syscall or an allocation fails the
+   harness outright; [timed "CHECKPOINT"] records the whole section's
+   time, which bench-diff gates like any other figure. *)
 let checkpoint_overhead () =
   section "CHECKPOINT" "cancellation-checkpoint overhead on the TRG build";
-  let reps = scaled 2000 in
+  let rounds = 5 in
+  let reps = max 1 (scaled 2000 / rounds) in
   let tpn = Abp.concrete Abp.default_params in
   let build () = ignore (CG.build tpn) in
   let time f =
@@ -987,12 +992,20 @@ let checkpoint_overhead () =
   in
   build ();
   (* warm *)
-  let bare = time build in
   let ctx = Tpan_obs.Context.make ~deadline:3600. () in
-  let armed = Tpan_obs.Context.with_ctx ctx (fun () -> time build) in
-  let ratio = armed /. bare in
-  Format.printf "ABP TRG build x%d: bare %.4fs, armed %.4fs (ratio %.3f)@." reps bare
-    armed ratio;
+  let pairs =
+    List.init rounds (fun _ ->
+        let bare = time build in
+        (bare, Tpan_obs.Context.with_ctx ctx (fun () -> time build)))
+  in
+  List.iteri
+    (fun i (bare, armed) ->
+      Format.printf "  round %d of %d builds: bare %.4fs, armed %.4fs@." (i + 1) reps bare armed)
+    pairs;
+  let fastest side = float_of_int rounds *. List.fold_left min infinity (List.map side pairs) in
+  let bare = fastest fst and armed = fastest snd in
+  Format.printf "ABP TRG build x%d, fastest rounds scaled: bare %.4fs, armed %.4fs (ratio %.3f)@."
+    (rounds * reps) bare armed (armed /. bare);
   check "armed checkpoints cost <= 1.25x bare (plus 10ms timer slack)"
     (armed <= (bare *. 1.25) +. 0.01)
 
@@ -1192,53 +1205,17 @@ let serve_keepalive () =
         | n -> Buffer.add_subbytes buf chunk 0 n
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       in
-      let find_crlf2 s =
-        let n = String.length s in
-        let rec go i =
-          if i + 3 >= n then None
-          else if
-            s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-          then Some i
-          else go (i + 1)
-        in
-        go 0
-      in
-      let content_length head =
-        let prefix = "content-length:" in
-        match
-          List.find_map
-            (fun line ->
-              let l = String.lowercase_ascii line in
-              if String.length l >= String.length prefix
-                 && String.sub l 0 (String.length prefix) = prefix
-              then
-                int_of_string_opt
-                  (String.trim
-                     (String.sub l (String.length prefix)
-                        (String.length l - String.length prefix)))
-              else None)
-            (String.split_on_char '\n' head)
-        with
-        | Some n -> n
-        | None -> failwith "SERVE-KEEPALIVE: response lacks Content-Length"
-      in
       (* consume exactly one response off [fd]'s buffered stream *)
-      let rec read_one fd =
-        let s = Buffer.contents buf in
-        match find_crlf2 s with
-        | None ->
+      let rec read_one ?(from = 0) fd =
+        match Tpan_serve.Http.decode_response ~from buf with
+        | Complete (_, used) ->
+          let rest = Buffer.sub buf used (Buffer.length buf - used) in
+          Buffer.clear buf;
+          Buffer.add_string buf rest
+        | Incomplete { from; _ } ->
           refill fd;
-          read_one fd
-        | Some i ->
-          let total = i + 4 + content_length (String.sub s 0 i) in
-          if String.length s < total then begin
-            refill fd;
-            read_one fd
-          end
-          else begin
-            Buffer.clear buf;
-            Buffer.add_substring buf s total (String.length s - total)
-          end
+          read_one ~from fd
+        | Malformed (_, msg) -> failwith ("SERVE-KEEPALIVE: " ^ msg)
       in
       let close_n = max 50 (scaled 400) in
       let t0 = Unix.gettimeofday () in

@@ -1501,7 +1501,6 @@ let serve_cmd =
           ?persist_dir:cache_dir ();
         let config =
           {
-            Tpan_serve.Serve.default_config with
             Tpan_serve.Serve.host;
             port = (if port < 0 then None else Some port);
             socket_path = socket;
@@ -1643,7 +1642,8 @@ let serve_cmd =
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Close a keep-alive connection idle for $(docv) seconds; the same budget \
-             bounds each read inside a request (a mid-body stall answers 408).")
+             bounds reading each whole request, head and body (a stall past it \
+             answers 408).")
   in
   let max_inflight_arg =
     Arg.(

@@ -83,7 +83,17 @@ let pp_decimal ?(digits = 6) fmt q =
     end
   end
 
+(* Literals come from outside (requests, nets, persisted lines), and
+   [Bigint.of_string] takes time quadratic in their length with no
+   checkpoint, so one long number could hold a request past its
+   deadline. Real values are far shorter: ABP's throughput at the
+   paper's point, 1805/1262234, has 12 characters. *)
+let max_literal_length = 1000
+
 let of_decimal_string s =
+  if String.length s > max_literal_length then
+    invalid_arg
+      (Printf.sprintf "Q.of_decimal_string: longer than %d characters" max_literal_length);
   let s = String.trim s in
   if s = "" then invalid_arg "Q.of_decimal_string: empty";
   match String.index_opt s '/' with

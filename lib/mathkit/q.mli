@@ -21,7 +21,8 @@ val of_bigint : Bigint.t -> t
 
 val of_decimal_string : string -> t
 (** Parses ["-12.375"], ["1067/10"], ["42"].
-    @raise Invalid_argument on malformed input. *)
+    @raise Invalid_argument on malformed input, or on one longer than
+    1,000 characters (parsing is quadratic in the length). *)
 
 val num : t -> Bigint.t
 val den : t -> Bigint.t

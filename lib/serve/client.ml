@@ -1,7 +1,6 @@
-(* A minimal blocking HTTP/1.0-style GET over raw Unix sockets — just
-   enough for `tpan top --attach` to pull /statusz and /tracez from a
-   running server (and for smoke tests to poke one) without an HTTP
-   library in the toolchain. *)
+(* A minimal blocking HTTP GET over raw Unix sockets, framed by [Http] —
+   just enough for `tpan top --attach` to pull /statusz and /tracez from
+   a running server without an HTTP library in the toolchain. *)
 
 type url = { host : string; port : int; path : string }
 
@@ -45,50 +44,24 @@ let resolve host =
     | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> Ok addr
     | _ | (exception Not_found) -> Error (Printf.sprintf "cannot resolve host %S" host))
 
-let read_all ?(limit = 64 * 1024 * 1024) fd =
+(* Reads until one whole response is buffered, framed by its
+   [Content-Length]. *)
+let read_response ?(limit = 64 * 1024 * 1024) fd =
   let buf = Buffer.create 8192 in
   let chunk = Bytes.create 8192 in
-  let rec go () =
-    let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-    if n > 0 then begin
-      Buffer.add_subbytes buf chunk 0 n;
-      if Buffer.length buf > limit then failwith "response too large" else go ()
-    end
+  let rec go from =
+    match Http.decode_response ~from buf with
+    | Http.Complete (r, _) -> Ok r
+    | Http.Malformed (_, msg) -> Error msg
+    | Http.Incomplete { from; _ } ->
+      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+      if n = 0 then Error "truncated HTTP response"
+      else begin
+        Buffer.add_subbytes buf chunk 0 n;
+        if Buffer.length buf > limit then Error "response too large" else go from
+      end
   in
-  go ();
-  Buffer.contents buf
-
-let split_response raw =
-  match String.index_opt raw '\r' with
-  | None -> Error "malformed HTTP response (no status line)"
-  | Some _ -> (
-    let header_end =
-      let rec find i =
-        if i + 3 >= String.length raw then None
-        else if
-          raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r'
-          && raw.[i + 3] = '\n'
-        then Some i
-        else find (i + 1)
-      in
-      find 0
-    in
-    match header_end with
-    | None -> Error "malformed HTTP response (no header terminator)"
-    | Some i -> (
-      let head = String.sub raw 0 i in
-      let body = String.sub raw (i + 4) (String.length raw - i - 4) in
-      let status_line =
-        match String.index_opt head '\r' with
-        | Some j -> String.sub head 0 j
-        | None -> head
-      in
-      match String.split_on_char ' ' status_line with
-      | _http :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some status -> Ok (status, body)
-        | None -> Error ("malformed HTTP status " ^ code))
-      | _ -> Error "malformed HTTP status line"))
+  go 0
 
 let get ?(timeout = 5.0) url =
   match parse_url url with
@@ -115,8 +88,6 @@ let get ?(timeout = 5.0) url =
                 send (off + Unix.write fd b off (Bytes.length b - off))
             in
             send 0;
-            split_response (read_all fd)
-          with
-          | Unix.Unix_error (e, _, _) ->
-            Error (Printf.sprintf "%s:%d: %s" host port (Unix.error_message e))
-          | Failure m -> Error m)))
+            read_response fd
+          with Unix.Unix_error (e, _, _) ->
+            Error (Printf.sprintf "%s:%d: %s" host port (Unix.error_message e)))))

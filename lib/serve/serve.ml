@@ -8,7 +8,6 @@ type config = {
   socket_path : string option;
   deadline : float option;
   max_states : int option;
-  max_body : int;
   slow_ms : float option;
   flight_path : string option;
   ledger_dir : string option;
@@ -26,7 +25,6 @@ let default_config =
     socket_path = None;
     deadline = None;
     max_states = None;
-    max_body = 8 * 1024 * 1024;
     slow_ms = None;
     flight_path = None;
     ledger_dir = None;
@@ -37,7 +35,7 @@ let default_config =
     warm = [];
   }
 
-type response = {
+type response = Http.response = {
   status : int;
   content_type : string;
   body : string;
@@ -698,34 +696,15 @@ let handle config ~meth ~target ~body =
    a buffer that survives across requests (the pipelining window),
    honours [Connection: close]/[keep-alive], and is bounded by
    [max_requests_per_conn] and an idle timeout carried by a
-   {!Obs.Cancel} deadline token. One accept loop on the calling domain
-   watches every listener; each accepted connection is then served on
-   its own domain (see {!Conns}), so a parked keep-alive client never
-   blocks the accept loop. *)
-
-let status_text = function
-  | 200 -> "OK"
-  | 400 -> "Bad Request"
-  | 404 -> "Not Found"
-  | 405 -> "Method Not Allowed"
-  | 408 -> "Request Timeout"
-  | 413 -> "Content Too Large"
-  | 422 -> "Unprocessable Content"
-  | 500 -> "Internal Server Error"
-  | 501 -> "Not Implemented"
-  | 503 -> "Service Unavailable"
-  | 504 -> "Gateway Timeout"
-  | _ -> "Unknown"
-
-let max_header_bytes = 64 * 1024
+   {!Obs.Cancel} deadline token. {!Http} does the framing; the loop
+   here only reads, waits and writes. One accept loop on the calling
+   domain watches every listener; each accepted connection is then
+   served on its own domain (see {!Conns}), so a parked keep-alive
+   client never blocks the accept loop. *)
 
 (* The client vanished: EOF or EPIPE/ECONNRESET at the wrong moment.
    Never fatal — the connection is counted, logged and dropped. *)
 exception Client_gone of string
-
-(* The current request stalled mid-transfer past the idle budget with
-   bytes already committed: answered 408, then the connection closes. *)
-exception Conn_stalled of string
 
 exception Shutting_down
 
@@ -809,100 +788,9 @@ let refill conn ~deadline =
       raise (Client_gone "read: peer reset"))
 
 let consume conn k =
-  let all = Buffer.contents conn.inbuf in
-  let taken = String.sub all 0 k in
+  let rest = Buffer.sub conn.inbuf k (Buffer.length conn.inbuf - k) in
   Buffer.clear conn.inbuf;
-  Buffer.add_substring conn.inbuf all k (String.length all - k);
-  taken
-
-let find_terminator buf ~from =
-  let n = Buffer.length buf in
-  let rec go i =
-    if i + 3 >= n then None
-    else if
-      Buffer.nth buf i = '\r'
-      && Buffer.nth buf (i + 1) = '\n'
-      && Buffer.nth buf (i + 2) = '\r'
-      && Buffer.nth buf (i + 3) = '\n'
-    then Some i
-    else go (i + 1)
-  in
-  go (max 0 from)
-
-(* ----- request framing ----- *)
-
-type head = {
-  meth : string;
-  target : string;
-  version : string;
-  req_headers : (string * string) list;  (** names lowercased *)
-}
-
-let parse_head raw =
-  let lines = List.map String.trim (String.split_on_char '\n' raw) in
-  let request_line, header_lines =
-    match lines with
-    | [] -> raise (Http_error (400, "empty request"))
-    | l :: hs -> (l, hs)
-  in
-  let meth, target, version =
-    match String.split_on_char ' ' request_line with
-    | [ meth; target; version ] -> (meth, target, version)
-    | _ -> raise (Http_error (400, "malformed request line"))
-  in
-  let req_headers =
-    List.filter_map
-      (fun line ->
-        match String.index_opt line ':' with
-        | Some i ->
-          Some
-            ( String.lowercase_ascii (String.trim (String.sub line 0 i)),
-              String.trim (String.sub line (i + 1) (String.length line - i - 1)) )
-        | None -> None)
-      header_lines
-  in
-  { meth; target; version; req_headers }
-
-(* Only [1*DIGIT] (RFC 9110 §8.6): [int_of_string] alone would also take
-   [0x5], [0_5] or [+5], and a proxy reading those differently would
-   split the stream elsewhere. Repeats must agree (RFC 9112 §6.3). *)
-let content_length req_headers =
-  let parse v =
-    match int_of_string_opt v with
-    | Some n when String.for_all (fun c -> c >= '0' && c <= '9') v -> n
-    | _ -> raise (Http_error (400, "bad Content-Length"))
-  in
-  match
-    List.filter_map
-      (fun (k, v) -> if k = "content-length" then Some (parse v) else None)
-      req_headers
-  with
-  | [] -> None
-  | n :: rest ->
-    if List.exists (( <> ) n) rest then
-      raise (Http_error (400, "conflicting Content-Length headers"));
-    Some n
-
-(* Chunked framing is not implemented; misparsing it as an unframed
-   body would desynchronize the connection, so refuse loudly. *)
-let reject_chunked req_headers =
-  match List.assoc_opt "transfer-encoding" req_headers with
-  | Some v when String.lowercase_ascii (String.trim v) <> "identity" ->
-    raise (Http_error (501, "Transfer-Encoding unsupported (send Content-Length)"))
-  | _ -> ()
-
-let has_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* HTTP/1.1 defaults to persistent; 1.0 (and anything unrecognized)
-   to close. An explicit [Connection] token wins either way. *)
-let wants_keep_alive head =
-  match Option.map String.lowercase_ascii (List.assoc_opt "connection" head.req_headers) with
-  | Some v when has_substring v "close" -> false
-  | Some v when has_substring v "keep-alive" -> true
-  | _ -> head.version = "HTTP/1.1"
+  Buffer.add_string conn.inbuf rest
 
 (* The idle budget rides on a [Cancel] deadline token — the same
    machinery request deadlines use — so the absolute instant the wait
@@ -913,45 +801,30 @@ let idle_deadline config =
   | Some d -> d
   | None -> Obs.Mclock.now () +. config.idle_timeout
 
-(* One full request head off the connection, or [None] on a clean
-   end-of-stream / idle expiry between requests. Timeouts and EOF with
-   a request already underway are errors: the client committed bytes
-   and stalled. *)
+(* The next request off the connection, or [None] on a clean
+   end-of-stream / idle expiry between requests. One idle budget covers
+   the whole request, head and body: a client that committed bytes and
+   stalled past it is answered 408, and a refusal from the codec is
+   raised as the [Http_error] it names. *)
 let read_request config conn =
   let deadline = idle_deadline config in
-  let rec await from =
-    match find_terminator conn.inbuf ~from with
-    | Some i ->
-      let raw = consume conn (i + 4) in
-      Some (String.sub raw 0 i)
-    | None ->
-      if Buffer.length conn.inbuf > max_header_bytes then
-        raise (Http_error (400, "request head too large"));
+  let rec go ~from ~need =
+    if Buffer.length conn.inbuf < need then begin
       let idle = Buffer.length conn.inbuf = 0 in
-      let from = max 0 (Buffer.length conn.inbuf - 3) in
-      (match refill conn ~deadline with
-      | `Filled | `Again -> await from
-      | `Timeout -> if idle then None else raise (Conn_stalled "request head")
-      | `Eof -> if idle then None else raise (Client_gone "eof inside request head"))
-  in
-  await 0
-
-(* The size check precedes any allocation: a hostile Content-Length
-   costs nothing, and the buffer only ever grows by bytes actually
-   received. *)
-let read_body config conn ~length =
-  if length > config.max_body then
-    raise (Http_error (413, "request body too large"));
-  let deadline = idle_deadline config in
-  let rec go () =
-    if Buffer.length conn.inbuf >= length then consume conn length
-    else
       match refill conn ~deadline with
-      | `Filled | `Again -> go ()
-      | `Timeout -> raise (Conn_stalled "request body")
-      | `Eof -> raise (Client_gone "eof inside request body")
+      | `Filled | `Again -> go ~from ~need
+      | `Timeout -> if idle then None else raise (Http_error (408, "timed out reading request"))
+      | `Eof -> if idle then None else raise (Client_gone "eof inside request")
+    end
+    else
+      match Http.decode_request ~from conn.inbuf with
+      | Http.Complete (req, used) ->
+        consume conn used;
+        Some req
+      | Http.Malformed (status, msg) -> raise (Http_error (status, msg))
+      | Http.Incomplete { from; need } -> go ~from ~need
   in
-  go ()
+  go ~from:0 ~need:0
 
 (* ----- response writes ----- *)
 
@@ -975,22 +848,10 @@ let write_all fd s =
   in
   go 0
 
-let write_response config fd resp ~keep_alive =
-  let extra =
-    String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) resp.headers)
-  in
-  let conn_header =
-    if keep_alive then
-      Printf.sprintf "Connection: keep-alive\r\nKeep-Alive: timeout=%d\r\n"
-        (max 1 (int_of_float config.idle_timeout))
-    else "Connection: close\r\n"
-  in
+let write_response config fd resp ~keep =
   write_all fd
-    (Printf.sprintf
-       "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n%s%s\r\n%s"
-       resp.status (status_text resp.status) resp.content_type
-       (String.length resp.body) extra conn_header resp.body)
+    (Http.encode_response resp
+       ~keep_alive:(if keep then Some (max 1 (int_of_float config.idle_timeout)) else None))
 
 (* A request rejected while framing (bad head, stalled read, oversize or
    chunked body) never reaches [handle] and has no route: it counts as an
@@ -1007,36 +868,21 @@ let serve_connection config conn =
     else
       match read_request config conn with
       | None -> () (* clean close: idle expiry or end-of-stream *)
-      | Some raw ->
-        let head = parse_head raw in
-        reject_chunked head.req_headers;
-        let length = Option.value (content_length head.req_headers) ~default:0 in
-        let body = read_body config conn ~length in
-        let resp = handle config ~meth:head.meth ~target:head.target ~body in
+      | Some req ->
+        let resp = handle config ~meth:req.meth ~target:req.target ~body:req.body in
         (* whatever [handle] answers, a 400 included, leaves the stream in
            step: its body was read whole. Framing failures are raised
            before it and close below, since resynchronizing on a suspect
            stream risks reading body bytes as a request line. *)
-        let keep =
-          wants_keep_alive head
-          && served + 1 < limit
-          && not (Atomic.get stop)
-        in
-        write_response config conn.fd resp ~keep_alive:keep;
+        let keep = Http.keep_alive req && served + 1 < limit && not (Atomic.get stop) in
+        write_response config conn.fd resp ~keep;
         if keep then next (served + 1)
   in
   try next 0 with
   | Shutting_down -> ()
   | Http_error (status, msg) ->
     note_framing_error ();
-    (try write_response config conn.fd (error_response status ~exit_code:2 msg) ~keep_alive:false
-     with Client_gone _ -> ())
-  | Conn_stalled what ->
-    note_framing_error ();
-    (try
-       write_response config conn.fd
-         (error_response 408 ~exit_code:2 ("timed out reading " ^ what))
-         ~keep_alive:false
+    (try write_response config conn.fd (error_response status ~exit_code:2 msg) ~keep:false
      with Client_gone _ -> ())
   | Client_gone reason ->
     Obs.Metrics.Counter.incr (m_client_aborts ());

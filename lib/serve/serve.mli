@@ -59,17 +59,19 @@
     [net_hash], [exit_code], then the payload.
 
     {b Connections.} HTTP/1.1 keep-alive with pipelining: each
-    connection parses requests in a loop from a persistent buffer
-    (bytes of request N+1 arriving with request N are served without
-    another socket read), honours [Connection: close]/[keep-alive]
-    (1.0 defaults to close, 1.1 to keep-alive), and is bounded by
-    [max_requests_per_conn] and an [idle_timeout] carried on a
-    {!Tpan_obs.Cancel} deadline token. A mid-request stall answers
-    [408] and closes; framing errors (a malformed head, a bad
-    [Content-Length], [413], [501 chunked]) close after answering,
-    while an application error — a [400] for a request whose body was
-    read whole included — answers and keeps the connection; a vanished peer (EOF/EPIPE/ECONNRESET) is
-    a logged, counted ([serve.client_aborts]), non-fatal abort.
+    connection decodes requests with {!Http.decode_request} in a loop
+    from a persistent buffer (bytes of request N+1 arriving with
+    request N are served without another socket read), honours
+    [Connection: close]/[keep-alive] (1.0 defaults to close, 1.1 to
+    keep-alive), and is bounded by [max_requests_per_conn] and an
+    [idle_timeout] carried on a {!Tpan_obs.Cancel} deadline token. A
+    request stalled past that budget, head and body together, answers
+    [408] and closes; the codec's refusals (a malformed or over-64-KiB
+    head, a bad [Content-Length], [413] above 8 MiB, [501 chunked])
+    close after answering, while an application error — a [400] for a
+    request whose body was read whole included — answers and keeps
+    the connection; a vanished peer (EOF/EPIPE/ECONNRESET) is a
+    logged, counted ([serve.client_aborts]), non-fatal abort.
 
     {b Accepting.} One accept loop, on the domain that called {!run},
     watches every listener. Each accepted connection is served on a
@@ -93,7 +95,6 @@ type config = {
   socket_path : string option;  (** optional Unix-domain socket *)
   deadline : float option;  (** per-request budget, seconds *)
   max_states : int option;  (** default state budget for analyses *)
-  max_body : int;  (** request-body cap, bytes *)
   slow_ms : float option;
       (** slow-request threshold in milliseconds; requests at or above
           it are flagged in [/tracez] and flight-captured *)
@@ -105,8 +106,8 @@ type config = {
   max_requests_per_conn : int;
       (** keep-alive budget per connection; [<= 0] means unlimited *)
   idle_timeout : float;
-      (** seconds a connection may sit idle between requests (and the
-          per-read stall budget inside a request) *)
+      (** seconds a connection may sit idle between requests, and the
+          budget for reading one whole request, head and body *)
   max_inflight : int option;
       (** admission limit for concurrent POST analyses; [None] admits
           everything *)
@@ -120,13 +121,13 @@ type config = {
 }
 
 val default_config : config
-(** [127.0.0.1:8080], no Unix socket, no deadline, 8 MiB body cap;
+(** [127.0.0.1:8080], no Unix socket, no deadline;
     no slow threshold, no ledger rows (so nothing is written per
     request; [tpan serve] turns them on by default);
     32 concurrent connections, 1000 requests per connection,
     30s idle timeout, no admission limit, no warm-up. *)
 
-type response = {
+type response = Http.response = {
   status : int;
   content_type : string;
   body : string;

@@ -563,6 +563,42 @@ let test_replay_outside_deadline () =
       Alcotest.(check int) "every persisted entry loaded" persisted (entries ());
       Alcotest.(check int) "no rebuild" before (misses ()))
 
+(* A persisted line may name any exponent, and decoding reduces the
+   form by a gcd under the caches' mutex. For f(t4)^e / (f(t4) + 1) that
+   is Euclid e steps deep: 1 s at e = 3,000, and f(t4)^100000 did not
+   finish in 20 s. Past the bound the line is skipped like any
+   undecodable one, and its artifact rebuilt on first use. *)
+let test_huge_exponent_skipped () =
+  let dir = temp_dir () in
+  let mk () =
+    Cache.create ~name:"test.exponent" ~persist:dir ~encode:Codec.ratfun_to_json
+      ~decode:Codec.ratfun_of_json ()
+  in
+  let thr = closed_form_fresh (stopwait_sym ()) in
+  let huge =
+    let module Poly = Tpan_symbolic.Poly in
+    let f4 = Poly.var (Tpan_symbolic.Var.frequency "t4") in
+    Rf.make (Poly.pow f4 100_000) (Poly.add f4 Poly.one)
+  in
+  let c1 = mk () in
+  Cache.put c1 "huge" huge;
+  Cache.put c1 "good" thr;
+  let warnings = ref [] in
+  Tpan_obs.Log.set_sinks [ (Tpan_obs.Log.Warn, fun r -> warnings := r :: !warnings) ];
+  let t0 = Unix.gettimeofday () in
+  let c2 = Fun.protect ~finally:(fun () -> Tpan_obs.Log.set_sinks []) mk in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "replayed in under a second (%.2f s)" dt) true (dt < 1.);
+  Alcotest.(check bool) "the valid key hits" true
+    (match Cache.find c2 "good" with Some v -> Rf.equal v thr | None -> false);
+  Alcotest.(check bool) "the huge one is not loaded" false (Cache.mem c2 "huge");
+  Alcotest.(check bool) "the warning counts one skipped line" true
+    (List.exists
+       (fun (r : Tpan_obs.Log.record) ->
+         r.msg = "cache: skipped undecodable persisted entries"
+         && List.assoc_opt "skipped" r.fields = Some (J.Int 1))
+       !warnings)
+
 let suite =
   ( "cache",
     [
@@ -594,4 +630,6 @@ let suite =
       Alcotest.test_case "a waiter adds no heartbeat" `Quick test_waiter_does_not_beat;
       Alcotest.test_case "a journal replays past the first request's deadline" `Quick
         test_replay_outside_deadline;
+      Alcotest.test_case "a persisted exponent over 64 is skipped" `Quick
+        test_huge_exponent_skipped;
     ] )

@@ -530,6 +530,63 @@ let test_identical_sweeps () =
         (List.mem t sweep_tids))
     tids
 
+(* ----- the codec's refusals over a socket -----
+
+   Each is answered once, with [Connection: close], and the socket then
+   reaches EOF. Nothing is sent past what the server reads before it
+   answers, so it closes with nothing unread. *)
+
+let answered_then_eof port ~what ~status bytes =
+  let c = connect port in
+  Fun.protect
+    ~finally:(fun () -> close_client c)
+    (fun () ->
+      send c bytes;
+      let r = recv_exn ~timeout:5. c what in
+      Alcotest.(check int) what status r.status;
+      Alcotest.(check (option string)) (what ^ " closes") (Some "close") (header r "connection");
+      Alcotest.(check bool) (what ^ " then EOF") true (recv ~timeout:5. c = None);
+      r)
+
+let test_oversized_and_chunked_refused () =
+  with_server base_config (fun port ->
+      ignore
+        (answered_then_eof port ~what:"Content-Length over 8 MiB answers 413" ~status:413
+           "POST /eval HTTP/1.1\r\nHost: test\r\nContent-Length: 9000000\r\n\r\n");
+      ignore
+        (answered_then_eof port ~what:"chunked framing answers 501" ~status:501
+           "POST /eval HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n"))
+
+(* One idle budget covers a whole request. A body that arrives after its
+   head is answered; one that stalls mid-way answers 408. *)
+let test_midbody_stall_408 () =
+  with_server { base_config with Serve.idle_timeout = 0.3 } (fun port ->
+      let c = connect port in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          (* the body's own blank line must not be read as a head *)
+          let i = String.index eval_body ',' + 1 in
+          let body =
+            String.sub eval_body 0 i ^ "\r\n\r\n"
+            ^ String.sub eval_body i (String.length eval_body - i)
+          in
+          let whole = request "POST" "/eval" body in
+          let split = String.length whole - String.length body + 5 in
+          send c (String.sub whole 0 split);
+          Unix.sleepf 0.05;
+          send c (String.sub whole split (String.length whole - split));
+          let r = recv_exn ~timeout:5. c "late body" in
+          Alcotest.(check int) "a body after its head is answered" 200 r.status;
+          Alcotest.(check bool) "with the paper's exact value" true
+            (contains r.body "1805/486672"));
+      let r =
+        answered_then_eof port ~what:"a mid-body stall answers 408" ~status:408
+          "POST /eval HTTP/1.1\r\nHost: test\r\nContent-Length: 10\r\n\r\n{\"a\""
+      in
+      Alcotest.(check bool) "the 408 says what timed out" true
+        (contains r.body "timed out reading request"))
+
 let suite =
   ( "keepalive",
     [
@@ -554,4 +611,7 @@ let suite =
         test_overload_503_with_retry_after;
       Alcotest.test_case "an application 400 keeps the connection" `Quick
         test_app_error_keeps_connection;
+      Alcotest.test_case "413 and 501 answer, then close" `Quick
+        test_oversized_and_chunked_refused;
+      Alcotest.test_case "a mid-body stall answers 408" `Quick test_midbody_stall_408;
     ] )

@@ -864,6 +864,42 @@ let test_concurrent_sweeps_keep_their_spans () =
   Alcotest.(check (list int)) "every point's span, per request" [ 10_000; 10_000 ]
     (sweep_point_counts ~concurrent:2)
 
+(* [Q.of_decimal_string] is quadratic in a literal's length and the
+   request deadline fires only after the parse, so a literal over 1,000
+   characters is refused before any digit is read: at the point, and in
+   an inline net. *)
+let test_long_literal_refused () =
+  let eval_at e_t3 =
+    handle "POST" "/eval"
+      (Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{"E(t3)":"%s",%s}}|}
+         e_t3 paper_bindings)
+  in
+  let at_bound = "250." ^ String.make 996 '0' in
+  let r = eval_at at_bound in
+  Alcotest.(check int) "1,000 characters still answer" 200 r.Serve.status;
+  Alcotest.(check bool) "as E(t3) = 250 does" true
+    (field (parse_body r) "throughput" = field (parse_body (eval_at "250")) "throughput");
+  let refused what literal =
+    let t0 = Unix.gettimeofday () in
+    let r = eval_at literal in
+    let dt = Unix.gettimeofday () -. t0 in
+    Alcotest.(check int) (what ^ " answers 400") 400 r.Serve.status;
+    Alcotest.(check bool) (what ^ ": names the field") true (contains (error_of r) "point.E(t3)");
+    Alcotest.(check bool) (Printf.sprintf "%s: within 50 ms (%.1f ms)" what (dt *. 1e3)) true
+      (dt < 0.05)
+  in
+  refused "1,001 characters" (at_bound ^ "0");
+  (* 0.68 s to parse before the bound *)
+  refused "2 x 30,000 digits" (String.make 30_000 '7' ^ "/" ^ String.make 30_000 '3');
+  let net fire =
+    let src = "net tiny\nplace p1 init 1\ntrans t1 { in p1; out p1; fire " ^ fire ^ " }\n" in
+    J.to_string (J.Obj [ ("net", J.Str src) ])
+  in
+  Alcotest.(check int) "an inline net answers" 200
+    (handle "POST" "/analyze" (net "2.5")).Serve.status;
+  Alcotest.(check int) "the same literal in an inline net answers 400" 400
+    (handle "POST" "/analyze" (net (at_bound ^ "0"))).Serve.status
+
 let suite =
   ( "serve",
     [
@@ -905,4 +941,6 @@ let suite =
         test_large_sweep_keeps_its_spans;
       Alcotest.test_case "two large sweeps each keep their spans" `Quick
         test_concurrent_sweeps_keep_their_spans;
+      Alcotest.test_case "a literal over 1,000 characters answers 400" `Quick
+        test_long_literal_refused;
     ] )

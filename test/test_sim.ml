@@ -6,56 +6,10 @@ module Net = Tpan_petri.Net
 module Tpn = Tpan_core.Tpn
 module CG = Tpan_core.Concrete
 module M = Tpan_perf.Measures
-module Heap = Tpan_sim.Heap
 module Rng = Tpan_sim.Rng
 module Stats = Tpan_sim.Stats
 module Sim = Tpan_sim.Simulator
 module SW = Tpan_protocols.Stopwait
-
-(* --- Heap --- *)
-
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Stdlib.compare () in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  Alcotest.(check int) "length" 7 (Heap.length h);
-  let drained = List.init 7 (fun _ -> Heap.pop_exn h) in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 1; 2; 3; 4; 5; 9 ] drained;
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
-
-let test_heap_releases_popped () =
-  (* Popped elements must become garbage: the backing store may not keep
-     them reachable in its spare capacity. *)
-  let h = Heap.create ~cmp:(fun (a, _) (b, _) -> compare a b) () in
-  let n = 8 in
-  let weak = Weak.create n in
-  for i = 0 to n - 1 do
-    let boxed = (i, ref i) in
-    Weak.set weak i (Some boxed);
-    Heap.push h boxed
-  done;
-  for _ = 1 to n do
-    ignore (Heap.pop_exn h)
-  done;
-  Gc.full_major ();
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check weak i then incr live
-  done;
-  Alcotest.(check int) "no popped element retained" 0 !live;
-  (* the heap itself must stay usable afterwards *)
-  Heap.push h (42, ref 42);
-  Alcotest.(check int) "reusable" 42 (fst (Heap.pop_exn h))
-
-let prop_heap_sorts =
-  QCheck2.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 50) (int_range (-1000) 1000))
-    (fun xs ->
-      let h = Heap.create ~cmp:Stdlib.compare () in
-      List.iter (Heap.push h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Heap.pop_exn h) in
-      drained = List.sort Stdlib.compare xs)
 
 (* --- Rng --- *)
 
@@ -261,8 +215,6 @@ let test_warmup_removes_transient () =
 let suite =
   ( "sim",
     [
-      Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
-      Alcotest.test_case "heap releases popped elements" `Quick test_heap_releases_popped;
       Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
       Alcotest.test_case "rng uniformity" `Quick test_rng_uniform;
       Alcotest.test_case "rng weighted choice" `Quick test_rng_weighted;
@@ -278,6 +230,5 @@ let suite =
       Alcotest.test_case "timeout priority in simulation" `Slow test_sim_timeout_priority;
       Alcotest.test_case "replications" `Slow test_replications;
       Alcotest.test_case "warmup removes transient" `Quick test_warmup_removes_transient;
-      QCheck_alcotest.to_alcotest prop_heap_sorts;
       QCheck_alcotest.to_alcotest prop_sim_conserves_safeness;
     ] )
