@@ -43,6 +43,12 @@ val exit_code : t -> int
     4 for [Unsolvable], 5 for [State_limit],
     6 for [Deadline_exceeded]. *)
 
+val quote : string -> string
+(** A client-supplied string as a refusal quotes it: exactly as [%S]
+    renders it when it has at most 64 bytes, otherwise its first 64 bytes
+    so rendered, an ellipsis and its length, so that a refusal stays small
+    whatever the client sent. *)
+
 val of_exn : exn -> t option
 (** Classify the core-visible analysis exceptions; [None] for anything
     this layer doesn't know (perf/parser exceptions — see

@@ -120,7 +120,7 @@ let tokenize src =
   List.rev !out
 
 let describe = function
-  | IDENT s -> Printf.sprintf "identifier %S" s
+  | IDENT s -> "identifier " ^ Tpan_core.Error.quote s
   | NUMBER s -> Printf.sprintf "number %s" s
   | KW_NET -> "'net'"
   | KW_PLACE -> "'place'"

@@ -247,7 +247,7 @@ let elaborate ast =
   let lookup_place name =
     match Hashtbl.find_opt place_idx name with
     | Some p -> p
-    | None -> raise (Parse_error ({ L.line = 0; col = 0 }, Printf.sprintf "unknown place %S" name))
+    | None -> raise (Parse_error ({ L.line = 0; col = 0 }, "unknown place " ^ Tpan_core.Error.quote name))
   in
   (* pass 2: transitions *)
   let specs = ref [] in

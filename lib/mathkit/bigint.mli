@@ -1,9 +1,13 @@
 (** Arbitrary-precision signed integers.
 
-    Self-contained replacement for [zarith] (not available in this
-    environment). Magnitudes are little-endian arrays of 15-bit limbs, which
-    keeps every intermediate of schoolbook multiplication and Knuth
-    algorithm-D division comfortably inside a 63-bit native [int].
+    Self-contained replacement for [zarith]. A value whose magnitude fits
+    a native [int], that is [-max_int <= n <= max_int], is held as that
+    [int], and arithmetic on two such values runs natively with an overflow
+    test. Only values beyond 62 bits, [min_int] included, are held as
+    little-endian arrays of 15-bit limbs, which keeps every intermediate of
+    schoolbook multiplication and Knuth algorithm-D division comfortably
+    inside a 63-bit native [int]. A limb result that fits comes back as an
+    [int], so each value has exactly one representation.
 
     Values are immutable; all functions are pure. *)
 

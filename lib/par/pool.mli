@@ -10,9 +10,12 @@
     Design notes:
 
     - Fork-join, spawn-per-call: each [map] spawns up to [jobs - 1]
-      domains and joins them before returning. Domain spawn is tens of
-      microseconds — negligible against the multi-millisecond tasks this
-      pool exists for — and the absence of a persistent pool means no
+      domains and joins them before returning. A spawn plus join of an
+      empty task took 75–146 µs at the median and 0.2–3.4 ms at p90
+      (wall clock around [Domain.join (Domain.spawn f)], three rounds of
+      2,000 on a 2-vCPU Linux host): small against the multi-millisecond
+      tasks this pool exists for, not against a sub-millisecond one such
+      as a 32-point sweep grid. The absence of a persistent pool means no
       shutdown protocol, no idle domains inside library clients, and no
       interference with other users of the domain budget.
     - Work stealing via a single [Atomic] index over the input array;

@@ -10,7 +10,7 @@ module Rf = Tpan_symbolic.Ratfun
 let transition tpn name =
   match Net.trans_of_name (Tpn.net tpn) name with
   | t -> t
-  | exception Not_found -> invalid_arg (Printf.sprintf "unknown transition %S" name)
+  | exception Not_found -> invalid_arg (Printf.sprintf "unknown transition %s" (Tpan_core.Error.quote name))
 
 let times_int field x n =
   let rec go acc n = if n = 0 then acc else go (field.Rates.add acc x) (n - 1) in

@@ -7,7 +7,7 @@ type axis = { name : string; lo : Q.t; hi : Q.t; steps : int }
 
 let parse_axis spec =
   let fail () =
-    Error (Printf.sprintf "bad grid spec %S (expected NAME=LO..HI:STEPS)" spec)
+    Error (Printf.sprintf "bad grid spec %s (expected NAME=LO..HI:STEPS)" (Error.quote spec))
   in
   match String.index_opt spec '=' with
   | None -> fail ()

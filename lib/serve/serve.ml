@@ -212,7 +212,9 @@ let q_of_json field = function
   | J.Float f -> q_of_float f
   | J.Str s -> (
     try Q.of_decimal_string s
-    with _ -> bad (Printf.sprintf "%s: %S is not a rational (use \"a/b\" or decimal)" field s))
+    with _ -> bad
+        (Printf.sprintf "%s: %s is not a rational (use \"a/b\" or decimal)" field
+           (Tpan.Error.quote s)))
   | _ -> bad (Printf.sprintf "%s: expected a number or rational string" field)
 
 let obj_of_body body =
@@ -258,7 +260,7 @@ let bindings_field field obj =
       | _ -> None
     in
     (match repeated (List.sort String.compare (List.map fst kvs)) with
-     | Some k -> bad (Printf.sprintf "%s: variable %S is bound twice" field k)
+     | Some k -> bad (Printf.sprintf "%s: variable %s is bound twice" field (Tpan.Error.quote k))
      | None -> ());
     List.map (fun (k, v) -> (k, q_of_json (field ^ "." ^ k) v)) kvs
   | Some _ -> bad (Printf.sprintf "%s: expected an object of variable bindings" field)

@@ -20,7 +20,7 @@ let load ?(params = []) source =
     | Some m -> m.Models.make params
     | None ->
       invalid_arg
-        (Printf.sprintf "unknown model %S (available: %s)" name
+        (Printf.sprintf "unknown model %s (available: %s)" (Error.quote name)
            (String.concat ", " Models.names)))
 
 type report = {

@@ -303,7 +303,7 @@ let warm ?max_states names =
       let result =
         match Models.find name with
         | None ->
-          Error (Error.Invalid_input (Printf.sprintf "unknown builtin model %S" name))
+          Error (Error.Invalid_input (Printf.sprintf "unknown builtin model %s" (Error.quote name)))
         | Some (m : Models.t) -> (
           match Error.guard (fun () -> m.Models.make []) with
           | Error e -> Error e

@@ -20,6 +20,9 @@ val http_status : t -> int
 (** The socket's status for the same error: 504 for a deadline (exit 6),
     400 for bad input (exit 2), 422 for every other analysis failure. *)
 
+val quote : string -> string
+(** See {!Tpan_core.Error.quote}. *)
+
 val of_exn : exn -> t option
 (** Classifies core, perf and parser exceptions (and maps
     [Invalid_argument] onto [Invalid_input]); [None] for genuine bugs. *)

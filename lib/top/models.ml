@@ -18,7 +18,7 @@ let check_overrides name declared overrides =
     (fun (k, _) ->
       if not (List.mem_assoc k declared) then
         invalid_arg
-          (Printf.sprintf "model %s has no parameter %S (available: %s)" name k
+          (Printf.sprintf "model %s has no parameter %s (available: %s)" name (Error.quote k)
              (match declared with
               | [] -> "none — bind symbols with -p instead"
               | l -> String.concat ", " (List.map fst l))))

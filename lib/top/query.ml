@@ -44,7 +44,7 @@ let only_symbols ~what (model : Models.t option) symbols given =
   match List.find_opt (fun n -> not (List.mem n symbols)) given with
   | None -> Ok ()
   | Some n ->
-    invalid "%s %S is not a symbol of the net (%s)" what n
+    invalid "%s %s is not a symbol of the net (%s)" what (Error.quote n)
       (match (symbols, model) with
        | [], Some m when m.params <> [] ->
          Printf.sprintf "it has none; model %s takes its parameters in params or on axes: %s"
@@ -70,7 +70,9 @@ let sweep ?max_states ?jobs (model : Models.t option) ~params canonical ~transit
        grid point rebuilds the net and runs the exact analysis *)
     let* () =
       match List.find_opt (fun n -> not (List.mem_assoc n m.params)) axis_names with
-      | Some n -> invalid "model %s has no parameter %S (available: %s)" m.name n (names m.params)
+      | Some n ->
+        invalid "model %s has no parameter %s (available: %s)" m.name (Error.quote n)
+          (names m.params)
       | None -> Ok ()
     in
     let* () = only_symbols ~what:"binding" model symbols binding_names in

@@ -139,6 +139,162 @@ let prop_gcd_divides =
       if B.is_zero g then B.is_zero a && B.is_zero c
       else B.is_zero (B.rem a g) && B.is_zero (B.rem c g))
 
+(* The small/large boundary. Every native int is drawn near a point where
+   a representation or an overflow test changes; scaling by K = 2^64 + 1
+   puts any non-zero operand on the limb path, so each identity checks the
+   native operation against the limb one. *)
+
+let gen_edge =
+  QCheck2.Gen.(
+    let near c = map (fun d -> c + d) (int_range (-4) 4) in
+    oneof
+      [
+        near 0;
+        near (1 lsl 15);
+        near (-(1 lsl 15));
+        near (1 lsl 31);
+        near (-(1 lsl 31));
+        map (fun d -> max_int - d) (int_range 0 4);
+        map (fun d -> min_int + d) (int_range 0 4);
+        int;
+      ])
+
+(* 2^64 + 1, built by doubling so that no product is involved *)
+let big_k =
+  let rec double x n = if n = 0 then x else double (B.add x x) (n - 1) in
+  B.add (double B.one 64) B.one
+let scaled n = B.mul (B.of_int n) big_k
+
+let edge_law name law =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:500 ~long_factor:100
+       ~print:QCheck2.Print.(pair int int)
+       QCheck2.Gen.(pair gen_edge gen_edge)
+       law)
+
+let prop_edge_add =
+  edge_law "boundary add/sub agree with the limb path" (fun (a, c) ->
+      let x = B.of_int a and y = B.of_int c in
+      B.equal (B.mul (B.add x y) big_k) (B.add (scaled a) (scaled c))
+      && B.equal (B.mul (B.sub x y) big_k) (B.sub (scaled a) (scaled c)))
+
+let prop_edge_mul =
+  edge_law "boundary mul agrees with the limb path" (fun (a, c) ->
+      B.equal (B.mul (B.mul (B.of_int a) (B.of_int c)) big_k) (B.mul (scaled a) (B.of_int c)))
+
+let prop_edge_divmod =
+  edge_law "boundary divmod agrees with the limb path" (fun (a, c) ->
+      c = 0
+      ||
+      let q, r = B.divmod (B.of_int a) (B.of_int c) in
+      let qk, rk = B.divmod (scaled a) (scaled c) in
+      B.equal q qk && B.equal (B.mul r big_k) rk)
+
+let prop_edge_gcd =
+  edge_law "boundary gcd agrees with the limb path" (fun (a, c) ->
+      B.equal (B.mul (B.gcd (B.of_int a) (B.of_int c)) big_k) (B.gcd (scaled a) (scaled c)))
+
+let prop_edge_compare =
+  edge_law "boundary compare agrees with the limb path" (fun (a, c) ->
+      let sgn n = Int.compare n 0 in
+      sgn (B.compare (B.of_int a) (B.of_int c)) = sgn (B.compare (scaled a) (scaled c)))
+
+let prop_edge_add_fits =
+  edge_law "a sum fits an int exactly when the native sum does not overflow" (fun (a, c) ->
+      let s = a + c in
+      let overflow = (a >= 0 && c >= 0 && s < 0) || (a < 0 && c < 0 && s >= 0) in
+      B.to_int_opt (B.add (B.of_int a) (B.of_int c)) = if overflow then None else Some s)
+
+let prop_edge_to_string =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"to_string of an int is string_of_int" ~count:500 ~long_factor:100
+       ~print:QCheck2.Print.int gen_edge (fun n -> B.to_string (B.of_int n) = string_of_int n))
+
+let prop_to_float_wide =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"to_float of an int in [2^53, 2^62) is float_of_int" ~count:500
+       ~long_factor:100 ~print:QCheck2.Print.int
+       QCheck2.Gen.(int_range (1 lsl 53) max_int)
+       (fun n -> B.to_float (B.of_int n) = float_of_int n))
+
+(* [of_string] takes exactly [+-]?[0-9]+ and prints back the canonical
+   decimal: no [+], no leading zeros, no [-0]. *)
+let decimal_syntax s =
+  let n = String.length s in
+  let start = if n > 0 && (s.[0] = '+' || s.[0] = '-') then 1 else 0 in
+  start < n && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub s start (n - start))
+
+let canonical_decimal s =
+  let neg = s.[0] = '-' in
+  let start = if s.[0] = '+' || neg then 1 else 0 in
+  let rec first i = if i < String.length s - 1 && s.[i] = '0' then first (i + 1) else i in
+  let i = first start in
+  let digits = String.sub s i (String.length s - i) in
+  if neg && digits <> "0" then "-" ^ digits else digits
+
+let of_string_outcome s =
+  match B.of_string s with
+  | v -> Some (B.to_string v)
+  | exception Invalid_argument _ -> None
+
+let prop_of_string_syntax =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"of_string accepts exactly [+-]?[0-9]+" ~count:1000 ~long_factor:100
+       ~print:QCheck2.Print.string
+       QCheck2.Gen.(
+         let* len = int_range 0 22 in
+         string_size ~gen:(oneof [ char_range '0' '9'; oneofl [ '+'; '-'; '_'; 'x'; 'o'; 'b'; ' ' ] ]) (return len))
+       (fun s ->
+         of_string_outcome s = if decimal_syntax s then Some (canonical_decimal s) else None))
+
+let test_of_string_widths () =
+  List.iter
+    (fun (s, expect) -> Alcotest.(check string) s expect (B.to_string (B.of_string s)))
+    [
+      ("999999999999999999", "999999999999999999");
+      ("-999999999999999999", "-999999999999999999");
+      ("+000000000000000007", "7");
+      ("4611686018427387903", "4611686018427387903");
+      ("4611686018427387904", "4611686018427387904");
+      ("-4611686018427387904", "-4611686018427387904");
+      ("9999999999999999999", "9999999999999999999");
+      ("00000000000000000001", "1");
+      ("-0000000000000000000", "0");
+      ("12345678901234567890", "12345678901234567890");
+    ];
+  Alcotest.(check (option int)) "min_int" (Some min_int)
+    (B.to_int_opt (B.of_string "-4611686018427387904"));
+  Alcotest.(check (option int)) "2^62" None (B.to_int_opt (B.of_string "4611686018427387904"));
+  List.iter
+    (fun s ->
+      Alcotest.check_raises s (Invalid_argument "Bigint.of_string: bad digit") (fun () ->
+          ignore (B.of_string s)))
+    [ "0x1f"; "0b1"; "1_0"; " 1"; "12345678901234567890x" ]
+
+let test_limb_result_comes_back_small () =
+  let p70 = B.pow (B.of_int 2) 70 in
+  let q = B.div (B.mul (B.of_int 3) p70) p70 in
+  check_b "3·2^70 / 2^70" (B.of_int 3) q;
+  Alcotest.(check int) "same hash" (B.hash (B.of_int 3)) (B.hash q);
+  Alcotest.(check (option int)) "fits" (Some 3) (B.to_int_opt q)
+
+(* Values computed by the limb-only representation; the hash must not
+   depend on which representation holds a value. *)
+let test_pinned_hashes () =
+  List.iter
+    (fun (v, h) -> Alcotest.(check int) (B.to_string v) h (B.hash v))
+    [
+      (B.zero, 2);
+      (B.one, 94);
+      (B.minus_one, 32);
+      (B.of_int 32767, 32860);
+      (B.of_int 32768, 2884);
+      (B.of_int (1 lsl 40), 90397);
+      (B.of_int max_int, 31355566624);
+      (B.of_int min_int, 28629155);
+      (B.of_string "1000000000000000000000", 566931626);
+    ]
+
 let suite =
   ( "bigint",
     [
@@ -160,4 +316,16 @@ let suite =
       QCheck_alcotest.to_alcotest prop_mul_commutative;
       QCheck_alcotest.to_alcotest prop_string_roundtrip;
       QCheck_alcotest.to_alcotest prop_gcd_divides;
+      prop_edge_add;
+      prop_edge_mul;
+      prop_edge_divmod;
+      prop_edge_gcd;
+      prop_edge_compare;
+      prop_edge_add_fits;
+      prop_edge_to_string;
+      prop_to_float_wide;
+      prop_of_string_syntax;
+      Alcotest.test_case "of_string at 18 to 20 digits" `Quick test_of_string_widths;
+      Alcotest.test_case "a limb result that fits is small" `Quick test_limb_result_comes_back_small;
+      Alcotest.test_case "pinned hashes" `Quick test_pinned_hashes;
     ] )

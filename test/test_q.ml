@@ -85,6 +85,64 @@ let prop_sub_add_cancel =
     QCheck2.Gen.(pair gen_q gen_q)
     (fun (a, b) -> Q.equal a (Q.add (Q.sub a b) b))
 
+(* The small/large boundary: a rational over big multiples reduces to the
+   same canonical value, hash and text as the small one. *)
+
+let gen_edge =
+  QCheck2.Gen.(
+    let near c = map (fun d -> c + d) (int_range (-4) 4) in
+    oneof
+      [
+        near 0;
+        near (1 lsl 31);
+        near (-(1 lsl 31));
+        map (fun d -> max_int - d) (int_range 0 4);
+        map (fun d -> min_int + d) (int_range 0 4);
+        int;
+      ])
+
+(* 2^64 + 1, built by doubling so that no product is involved *)
+let big_k =
+  let rec double x n = if n = 0 then x else double (B.add x x) (n - 1) in
+  B.add (double B.one 64) B.one
+
+let prop_edge_make =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"boundary make over big multiples is canonical" ~count:500
+       ~long_factor:100 ~print:QCheck2.Print.(pair int int)
+       QCheck2.Gen.(pair gen_edge gen_edge)
+       (fun (n, d) ->
+         d = 0
+         ||
+         let x = Q.make (B.of_int n) (B.of_int d) in
+         let xk = Q.make (B.mul (B.of_int n) big_k) (B.mul (B.of_int d) big_k) in
+         Q.equal x xk && Q.hash x = Q.hash xk && Q.to_string x = Q.to_string xk))
+
+let prop_edge_add_cancel =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"boundary a + b - b = a" ~count:500 ~long_factor:100
+       ~print:QCheck2.Print.(quad int int int int)
+       QCheck2.Gen.(quad gen_edge gen_edge gen_edge gen_edge)
+       (fun (n, d, n', d') ->
+         d = 0 || d' = 0
+         ||
+         let a = Q.make (B.of_int n) (B.of_int d) and b = Q.make (B.of_int n') (B.of_int d') in
+         Q.equal a (Q.sub (Q.add a b) b) && Q.hash a = Q.hash (Q.sub (Q.add a b) b)))
+
+let test_big_multiples_reduce () =
+  let k = B.mul big_k (B.pow (B.of_int 10) 30) in
+  let x = Q.make (B.mul (B.of_int 3) k) (B.mul (B.of_int 5) k) in
+  check_q "3k/5k" (Q.of_ints 3 5) x;
+  Alcotest.(check int) "same hash" (Q.hash (Q.of_ints 3 5)) (Q.hash x);
+  Alcotest.(check string) "same text" "3/5" (Q.to_string x)
+
+(* Values computed by the limb-only representation of the numerator and
+   denominator. *)
+let test_pinned_hashes () =
+  List.iter
+    (fun (s, h) -> Alcotest.(check int) s h (Q.hash (Q.of_decimal_string s)))
+    [ ("1/20", 6166419); ("106.7", 76094943); ("1805/486672", 125375319) ]
+
 let suite =
   ( "rationals",
     [
@@ -99,4 +157,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_inv_involutive;
       QCheck_alcotest.to_alcotest prop_compare_antisym;
       QCheck_alcotest.to_alcotest prop_sub_add_cancel;
+      prop_edge_make;
+      prop_edge_add_cancel;
+      Alcotest.test_case "big multiples reduce to small" `Quick test_big_multiples_reduce;
+      Alcotest.test_case "pinned hashes" `Quick test_pinned_hashes;
     ] )

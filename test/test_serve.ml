@@ -885,6 +885,10 @@ let test_long_literal_refused () =
     let dt = Unix.gettimeofday () -. t0 in
     Alcotest.(check int) (what ^ " answers 400") 400 r.Serve.status;
     Alcotest.(check bool) (what ^ ": names the field") true (contains (error_of r) "point.E(t3)");
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: body under 1 KiB (%d bytes)" what (String.length r.Serve.body))
+      true
+      (String.length r.Serve.body < 1024);
     Alcotest.(check bool) (Printf.sprintf "%s: within 50 ms (%.1f ms)" what (dt *. 1e3)) true
       (dt < 0.05)
   in
@@ -899,6 +903,72 @@ let test_long_literal_refused () =
     (handle "POST" "/analyze" (net "2.5")).Serve.status;
   Alcotest.(check int) "the same literal in an inline net answers 400" 400
     (handle "POST" "/analyze" (net (at_bound ^ "0"))).Serve.status
+
+(* A refusal quotes at most 64 bytes of a client string, so whatever the
+   client sent, the error path answers a small body that still names the
+   field. *)
+let test_refusals_quote_boundedly () =
+  let long = String.make 60_000 'x' in
+  let quoted = J.to_string (J.Str long) in
+  let sweep_axis axis =
+    Printf.sprintf {|{"model":"stopwait-sym","transitions":["t7"],"axes":[%s],"bindings":{%s}}|} axis
+      paper_bindings
+  in
+  let eval_point point = Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{%s}}|} point in
+  List.iter
+    (fun (what, target, body, status, names) ->
+      let r = handle "POST" target body in
+      Alcotest.(check int) (what ^ ": status") status r.Serve.status;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: body under 1 KiB (%d bytes)" what (String.length r.Serve.body))
+        true
+        (String.length r.Serve.body < 1024);
+      Alcotest.(check bool) (what ^ ": names " ^ names) true (contains (error_of r) names);
+      Alcotest.(check bool) (what ^ ": says how long") true (contains (error_of r) "(60000 bytes)"))
+    [
+      ("a 60,000-character axis string", "/sweep", sweep_axis quoted, 400, "bad grid spec");
+      ( "a 60,000-character hi",
+        "/sweep",
+        sweep_axis (Printf.sprintf {|{"name":"E(t3)","lo":"250","hi":%s,"steps":2}|} quoted),
+        400,
+        "axes[].hi" );
+      ( "a 60,000-character point name",
+        "/eval",
+        eval_point (Printf.sprintf {|%s:"1",%s|} quoted paper_bindings),
+        400,
+        "point" );
+      ( "a point name bound twice",
+        "/eval",
+        eval_point (Printf.sprintf {|%s:"1",%s:"2"|} quoted quoted),
+        400,
+        "bound twice" );
+      ( "a 60,000-character model name",
+        "/eval",
+        Printf.sprintf {|{"model":%s,"transition":"t7"}|} quoted,
+        400,
+        "unknown model" );
+      ( "a 60,000-character transition name",
+        "/eval",
+        Printf.sprintf {|{"model":"stopwait-sym","transition":%s,"point":{%s}}|} quoted
+          paper_bindings,
+        400,
+        "unknown transition" );
+      ( "a 60,000-character parameter name",
+        "/eval",
+        Printf.sprintf {|{"model":"stopwait","transition":"t7","params":{%s:"1"}}|} quoted,
+        400,
+        "has no parameter" );
+      ( "a 60,000-character sweep parameter",
+        "/sweep",
+        Printf.sprintf {|{"model":"stopwait","transitions":["t7"],"axes":[{"name":%s,"lo":"1","hi":"2","steps":2}]}|}
+          quoted,
+        400,
+        "has no parameter" );
+    ];
+  (* a string of at most 64 bytes is quoted whole, as before *)
+  let r = handle "POST" "/eval" (Printf.sprintf {|{"model":"%s","transition":"t7"}|} (String.make 64 'y')) in
+  Alcotest.(check bool) "64 bytes quoted whole" true
+    (contains (error_of r) (Printf.sprintf "unknown model %S (available" (String.make 64 'y')))
 
 let suite =
   ( "serve",
@@ -943,4 +1013,6 @@ let suite =
         test_concurrent_sweeps_keep_their_spans;
       Alcotest.test_case "a literal over 1,000 characters answers 400" `Quick
         test_long_literal_refused;
+      Alcotest.test_case "a refusal quotes at most 64 bytes" `Quick
+        test_refusals_quote_boundedly;
     ] )
