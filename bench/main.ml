@@ -70,8 +70,12 @@ type gc_delta = {
 
 let figure_times : (string * float * gc_delta) list ref = ref []
 
-(* CPU seconds and GC deltas of one call *)
+(* CPU seconds and GC deltas of one call. A minor collection on each side
+   of the call, outside the timed interval, empties the minor heap, so the
+   words [f] promotes are counted in its own figure and not in whichever
+   figure the next collection happens to land in. *)
 let measure f =
+  Gc.minor ();
   let g0 = Gc.quick_stat () in
   (* quick_stat's allocation fields only refresh at collection slices on
      OCaml 5; Gc.minor_words reads the allocation pointer directly *)
@@ -79,6 +83,7 @@ let measure f =
   let t0 = Sys.time () in
   f ();
   let dt = Sys.time () -. t0 in
+  Gc.minor ();
   let g1 = Gc.quick_stat () in
   ( dt,
     {

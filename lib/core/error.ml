@@ -31,12 +31,7 @@ let exit_code = function
   | State_limit _ -> 5
   | Deadline_exceeded _ -> 6
 
-let quote_limit = 64
-
-let quote s =
-  let n = String.length s in
-  if n <= quote_limit then Printf.sprintf "%S" s
-  else Printf.sprintf "%S... (%d bytes)" (String.sub s 0 quote_limit) n
+let quote = Tpan_obs.Quote.quote
 
 let of_exn = function
   | Tpn.Unsupported msg -> Some (Unsupported msg)

@@ -30,7 +30,7 @@ let builder bname =
 let add_place b ?(init = 0) pname =
   if init < 0 then invalid_arg "Net.add_place: negative initial marking";
   if Hashtbl.mem b.bplace_index pname then
-    invalid_arg (Printf.sprintf "Net.add_place: duplicate place %S" pname);
+    invalid_arg ("Net.add_place: duplicate place " ^ Tpan_obs.Quote.quote pname);
   let idx = b.nplaces in
   b.nplaces <- idx + 1;
   b.bplaces <- (pname, init) :: b.bplaces;
@@ -52,7 +52,7 @@ let normalize_bag b what bag =
 
 let add_transition b ~name ~inputs ~outputs =
   if Hashtbl.mem b.btrans_names name then
-    invalid_arg (Printf.sprintf "Net.add_transition: duplicate transition %S" name);
+    invalid_arg ("Net.add_transition: duplicate transition " ^ Tpan_obs.Quote.quote name);
   Hashtbl.add b.btrans_names name ();
   let tin = normalize_bag b "inputs" inputs in
   let tout = normalize_bag b "outputs" outputs in

@@ -748,6 +748,9 @@ let install_signals () =
 type conn = {
   fd : Unix.file_descr;
   inbuf : Buffer.t;  (** bytes read but not yet consumed *)
+  chunk : Bytes.t;
+      (** what each read lands in before it joins [inbuf]: one per
+          connection, so a keep-alive read allocates nothing *)
   wake : Unix.file_descr option;
 }
 
@@ -771,18 +774,17 @@ let wait_readable conn ~deadline =
   in
   go ()
 
-(* One read into the connection buffer. [`Again] covers EINTR and
-   spurious wakeups — callers loop, and the select above keeps the loop
-   from spinning on a silent socket. *)
+(* One read, through the connection's chunk, into its buffer. [`Again]
+   covers EINTR and spurious wakeups — callers loop, and the select above
+   keeps the loop from spinning on a silent socket. *)
 let refill conn ~deadline =
   match wait_readable conn ~deadline with
   | `Timeout -> `Timeout
   | `Readable -> (
-    let chunk = Bytes.create 65536 in
-    match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read conn.fd conn.chunk 0 (Bytes.length conn.chunk) with
     | 0 -> `Eof
     | n ->
-      Buffer.add_subbytes conn.inbuf chunk 0 n;
+      Buffer.add_subbytes conn.inbuf conn.chunk 0 n;
       `Filled
     | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
       -> `Again
@@ -1084,11 +1086,13 @@ let run ?(ready = fun _ -> ()) config =
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ | Invalid_argument _ -> ());
       (try Unix.clear_nonblock fd with Unix.Unix_error _ -> ());
-      let conn = { fd; inbuf = Buffer.create 4096; wake = Some wake_read } in
       let serve config =
         Fun.protect
           ~finally:(fun () -> close_quietly fd)
           (fun () ->
+            let conn =
+              { fd; inbuf = Buffer.create 4096; chunk = Bytes.create 65536; wake = Some wake_read }
+            in
             try serve_connection config conn
             with exn ->
               Obs.Log.warn "serve: connection failed"

@@ -123,16 +123,37 @@ let answer ?max_states net canonical q =
     let params = match net with Model { params; _ } -> params | Source _ | File _ -> [] in
     sweep ?max_states ?jobs model ~params canonical ~transitions ~bindings ~axes
 
+(* Each parameterless builtin's canonical form, kept after its first
+   load, so a warm request finds its net's hash without building the net.
+   The table is per domain: a [Tpn.t] holds its oracle as a lazy value
+   over unsynchronised memo tables, and two builds of one net at
+   different [max_states] may run at once, so a net is only ever used by
+   the domain that built it. Only a successful load is kept, so the table
+   holds at most the builtins. *)
+let builtins : (string, Canonical.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let canonical net =
+  let build () = Result.map Canonical.of_tpn (load net) in
+  match net with
+  | Model { name; params = [] } -> (
+    let memo = Domain.DLS.get builtins in
+    match Hashtbl.find_opt memo name with
+    | Some c -> Ok c
+    | None ->
+      let c = build () in
+      Result.iter (Hashtbl.replace memo name) c;
+      c)
+  | Model _ | Source _ | File _ -> build ()
+
 let run q =
   let (Analyze { net; max_states; _ } | Eval { net; max_states; _ } | Sweep { net; max_states; _ })
       =
     q
   in
-  match load net with
+  match canonical net with
   | Error e -> (None, Error e)
-  | Ok tpn ->
-    let canonical = Canonical.of_tpn tpn in
-    (Some (Canonical.hash canonical), answer ?max_states net canonical q)
+  | Ok canonical -> (Some (Canonical.hash canonical), answer ?max_states net canonical q)
 
 let envelope ~kind ~net_hash ~exit_code fields =
   J.Obj

@@ -55,6 +55,9 @@ val run : t -> string option * (answer, Error.t) result
     comes back with the outcome, errors included; it is [None] only when
     the net itself failed to load.
 
+    - A builtin named without parameters is loaded and canonicalized
+      once per domain, on its first query there; later queries on that
+      domain reuse its canonical form.
     - An [Analyze] report names its model when the net is a [Model].
     - Every name of an eval [point] or of sweep [bindings] must be a
       symbol of the net ({!Tpan_check.Sampler.vars}), else

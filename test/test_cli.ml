@@ -606,6 +606,34 @@ let test_zero_time_cycle () =
   Alcotest.(check bool) "the row's error says the cycle takes no time" true
     (contains out ("0,0,0,0,0,,," ^ zero_cycle_msg))
 
+(* A net that declares a long name twice is refused with the name
+   quoted in at most 64 bytes, as every other refusal quotes it. *)
+let test_duplicate_long_name_refused () =
+  let long = String.make 60_000 'x' in
+  List.iter
+    (fun (what, src, says) ->
+      let path = write_temp_net src in
+      let rc, out = run_capture ("analyze " ^ path) in
+      Sys.remove path;
+      Alcotest.(check int) (what ^ ": exit code") 2 rc;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: output under 1 KiB (%d bytes)" what (String.length out))
+        true
+        (String.length out < 1024);
+      Alcotest.(check bool) (what ^ ": says " ^ says) true (contains out says);
+      Alcotest.(check bool) (what ^ ": says how long") true (contains out "(60000 bytes)"))
+    [
+      ( "a place declared twice",
+        Printf.sprintf "net d\nplace %s init 1\nplace %s\ntrans t { in %s; out %s; fire 1 }\n"
+          long long long long,
+        "duplicate place" );
+      ( "a transition declared twice",
+        Printf.sprintf
+          "net d\nplace p init 1\ntrans %s { in p; out p; fire 1 }\ntrans %s { in p; out p; fire 1 }\n"
+          long long,
+        "duplicate transition" );
+    ]
+
 let suite =
   ( "cli",
     [
@@ -635,4 +663,6 @@ let suite =
         test_analyze_no_steady_state;
       Alcotest.test_case "sweep refuses names the net lacks" `Quick test_sweep_refusals;
       Alcotest.test_case "a zero-time cycle exits 4" `Quick test_zero_time_cycle;
+      Alcotest.test_case "a long name declared twice is quoted boundedly" `Quick
+        test_duplicate_long_name_refused;
     ] )

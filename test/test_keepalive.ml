@@ -40,12 +40,12 @@ let with_server config f =
 
 (* ----- a minimal HTTP/1.1 client ----- *)
 
-type client = { fd : Unix.file_descr; cbuf : Buffer.t }
+type client = { fd : Unix.file_descr; cbuf : Buffer.t; chunk : Bytes.t }
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  { fd; cbuf = Buffer.create 4096 }
+  { fd; cbuf = Buffer.create 4096; chunk = Bytes.create 65536 }
 
 let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
@@ -75,11 +75,10 @@ let fill ?(timeout = 10.) c =
   match Unix.select [ c.fd ] [] [] timeout with
   | [], _, _ -> `Timeout
   | _ -> (
-    let chunk = Bytes.create 65536 in
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read c.fd c.chunk 0 (Bytes.length c.chunk) with
     | 0 -> `Eof
     | n ->
-      Buffer.add_subbytes c.cbuf chunk 0 n;
+      Buffer.add_subbytes c.cbuf c.chunk 0 n;
       `Filled
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> `Eof
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Again)
@@ -587,6 +586,36 @@ let test_midbody_stall_408 () =
       Alcotest.(check bool) "the 408 says what timed out" true
         (contains r.body "timed out reading request"))
 
+(* Each connection reads into a chunk it got when it was accepted, so a
+   keep-alive request allocates no 64 KiB read buffer: that would be
+   8,192 words straight into the major heap per request. The client
+   above reuses its chunk too, and a minor collection before each
+   reading flushes every domain's counts into the program's totals. *)
+let test_keepalive_read_allocates_no_chunk () =
+  with_server base_config (fun port ->
+      let c = connect port in
+      Fun.protect
+        ~finally:(fun () -> close_client c)
+        (fun () ->
+          let req = request "POST" "/eval" eval_body in
+          let ask () =
+            send c req;
+            let r = recv_exn c "a warm /eval" in
+            Alcotest.(check int) "a warm /eval answers" 200 r.status
+          in
+          for _ = 1 to 20 do ask () done;
+          let major_words () =
+            Gc.minor ();
+            (Gc.quick_stat ()).Gc.major_words
+          in
+          let n = 300 in
+          let w0 = major_words () in
+          for _ = 1 to n do ask () done;
+          let per = (major_words () -. w0) /. float n in
+          Alcotest.(check bool)
+            (Printf.sprintf "major words per request under 1,024 (%.0f)" per)
+            true (per < 1024.)))
+
 let suite =
   ( "keepalive",
     [
@@ -614,4 +643,6 @@ let suite =
       Alcotest.test_case "413 and 501 answer, then close" `Quick
         test_oversized_and_chunked_refused;
       Alcotest.test_case "a mid-body stall answers 408" `Quick test_midbody_stall_408;
+      Alcotest.test_case "a keep-alive read allocates no chunk" `Quick
+        test_keepalive_read_allocates_no_chunk;
     ] )

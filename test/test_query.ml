@@ -153,6 +153,49 @@ let test_cache_dir_restart () =
         (fun (m, c) want -> same (label m c ^ ": before the restart = replayed server") want (served c))
         cases before)
 
+(* ----- the per-domain memo of builtin canonical forms ----- *)
+
+let eval_case name =
+  List.find (fun (m, c) -> (m : Tpan.Models.t).name = name && c.kind = "eval") (all_cases ())
+  |> snd
+
+(* A warm /eval of a builtin neither rebuilds its net nor re-serializes
+   it to find its hash: counted on the calling domain, the whole request
+   allocates well under the 13,000 minor words that took. *)
+let test_warm_eval_minor_words () =
+  let c = eval_case "stopwait-sym" in
+  let want = library c in
+  for _ = 1 to 3 do same "a warm /eval" want (served c) done;
+  let n = 100 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do ignore (served c) done;
+  let per = (Gc.minor_words () -. w0) /. float n in
+  Alcotest.(check bool) (Printf.sprintf "at most 8,000 minor words per /eval (%.0f)" per) true
+    (per <= 8000.)
+
+(* A domain starts with an empty memo and builds every net afresh, on
+   emptied caches: its answers equal the main domain's, kind by kind. *)
+let test_fresh_domain_same_bytes () =
+  let cases = all_cases () in
+  let main = List.map (fun (_, c) -> served c) cases in
+  Tpan.Artifact.reset_caches ();
+  let fresh = Domain.join (Domain.spawn (fun () -> List.map (fun (_, c) -> served c) cases)) in
+  List.iter2
+    (fun ((m, c), want) got -> same (label m c ^ ": main domain = fresh domain") want got)
+    (List.combine cases main) fresh
+
+(* A name that is not a builtin is never kept: it is refused the same
+   way each time, and the builtins still answer after it. *)
+let test_unknown_model_refused_twice () =
+  let body = {|{"model":"no-such-model","transition":"t7","point":{}}|} in
+  let ask () = Serve.handle Serve.default_config ~meth:"POST" ~target:"/eval" ~body in
+  let r1 = ask () and r2 = ask () in
+  Alcotest.(check int) "an unknown model answers 400" 400 r1.Serve.status;
+  Alcotest.(check int) "and again" 400 r2.Serve.status;
+  same "with the same body" r1.Serve.body r2.Serve.body;
+  let c = eval_case "stopwait-sym" in
+  same "a builtin answers after it" (library c) (served c)
+
 let suite =
   ( "query",
     List.map
@@ -163,4 +206,10 @@ let suite =
         Alcotest.test_case "every kind over a real socket" `Quick test_real_socket;
         Alcotest.test_case "every kind after a --cache-dir restart" `Quick
           test_cache_dir_restart;
+        Alcotest.test_case "a warm /eval allocates at most 8,000 minor words" `Quick
+          test_warm_eval_minor_words;
+        Alcotest.test_case "a fresh domain answers as the main one" `Quick
+          test_fresh_domain_same_bytes;
+        Alcotest.test_case "an unknown model is refused twice alike" `Quick
+          test_unknown_model_refused_twice;
       ] )

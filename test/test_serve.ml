@@ -915,6 +915,7 @@ let test_refusals_quote_boundedly () =
       paper_bindings
   in
   let eval_point point = Printf.sprintf {|{"model":"stopwait-sym","transition":"t7","point":{%s}}|} point in
+  let inline_net src = J.to_string (J.Obj [ ("net", J.Str src) ]) in
   List.iter
     (fun (what, target, body, status, names) ->
       let r = handle "POST" target body in
@@ -958,6 +959,21 @@ let test_refusals_quote_boundedly () =
         Printf.sprintf {|{"model":"stopwait","transition":"t7","params":{%s:"1"}}|} quoted,
         400,
         "has no parameter" );
+      ( "a 60,000-character place declared twice",
+        "/analyze",
+        inline_net
+          (Printf.sprintf "net d\nplace %s init 1\nplace %s\ntrans t { in %s; out %s; fire 1 }\n"
+             long long long long),
+        400,
+        "duplicate place" );
+      ( "a 60,000-character transition declared twice",
+        "/analyze",
+        inline_net
+          (Printf.sprintf
+             "net d\nplace p init 1\ntrans %s { in p; out p; fire 1 }\ntrans %s { in p; out p; fire 1 }\n"
+             long long),
+        400,
+        "duplicate transition" );
       ( "a 60,000-character sweep parameter",
         "/sweep",
         Printf.sprintf {|{"model":"stopwait","transitions":["t7"],"axes":[{"name":%s,"lo":"1","hi":"2","steps":2}]}|}
